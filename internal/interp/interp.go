@@ -98,6 +98,11 @@ type Stats struct {
 	CCChecks    int
 	PhaseChecks int
 	ValueChecks int
+	// Decisions and Switches count a serialized run's scheduling
+	// decisions and the decisions that handed the run to another thread
+	// (0 in free-running mode). Both are deterministic per schedule.
+	Decisions int64
+	Switches  int64
 }
 
 // Result is the outcome of a run.

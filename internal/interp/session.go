@@ -279,6 +279,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		}
 	}
 	if r.ctl != nil {
+		res.Stats.Decisions, res.Stats.Switches = r.ctl.Counts()
 		r.ctl.Recycle()
 		r.ctl = nil
 	}
@@ -306,6 +307,9 @@ func (s *Session) abandon(res *Result, r *runner) *Result {
 		Steps:       atomic.LoadInt64(&r.steps),
 	}
 	res.Stats.CCChecks, res.Stats.PhaseChecks, res.Stats.ValueChecks = r.ver.Stats()
+	if r.ctl != nil {
+		res.Stats.Decisions, res.Stats.Switches = r.ctl.Counts()
+	}
 	return res
 }
 

@@ -135,11 +135,14 @@ func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 // hook interface; hook methods are called with the monitor lock held and
 // only ever take the controller lock inside (lock order: monitor → ctl).
 type Controller struct {
-	mu       sync.Mutex
-	sched    Scheduler
-	gates    []*Gate
-	holder   ThreadID // token holder, -1 when none
-	seq      int64
+	mu     sync.Mutex
+	sched  Scheduler
+	gates  []*Gate
+	holder ThreadID // token holder, -1 when none
+	seq    int64
+	// switches counts decisions whose pick differs from Choice.Cur (a
+	// parked or exited holder's successor always counts).
+	switches int64
 	released chan struct{}
 	isOff    bool
 	owner    map[interface{}]*Gate // monitor waiter → parked gate
@@ -189,6 +192,7 @@ func NewController(s Scheduler, procs int) *Controller {
 	c.sched = s
 	c.holder = -1
 	c.seq = 0
+	c.switches = 0
 	c.isOff = false
 	if c.released == nil {
 		// Fresh controller, or recycled from an aborted run (whose
@@ -310,6 +314,16 @@ func (c *Controller) Fork(n int) []*Gate {
 		out[i] = c.newGateLocked()
 	}
 	return out
+}
+
+// Counts reports the run's scheduling work: decisions taken (one per
+// Scheduler.Next call) and switches (decisions whose pick is not the
+// thread that just yielded). Both are pure functions of the schedule,
+// so they are machine-independent.
+func (c *Controller) Counts() (decisions, switches int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seq, c.switches
 }
 
 // Start hands the token to the scheduler's first pick. Call once, after
@@ -459,6 +473,9 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	}
 	if !valid {
 		id = enabled[0]
+	}
+	if id != cur {
+		c.switches++
 	}
 	c.holder = id
 	if c.trace != nil {
