@@ -49,6 +49,10 @@ func (t *tracer) reset(prefix []sched.ThreadID, seed int64) {
 	t.events.Reset()
 }
 
+// ReadsSig implements sched.SigReader: the positional signature at each
+// branch point is a coverage key.
+func (t *tracer) ReadsSig() bool { return true }
+
 // EventTrace implements sched.TraceSource: the controller records one
 // tagged event per decision.
 func (t *tracer) EventTrace() *monitor.EventTrace { return &t.events }

@@ -111,3 +111,35 @@ func TestExploreQuarantinesPanickingRun(t *testing.T) {
 		})
 	}
 }
+
+// TestExploreQuarantinesPanickingThread: a panic inside one simulated
+// thread's body (not at the run boundary) aborts only its run, which
+// classifies internal-error; the exploration completes its budget on
+// every engine path.
+func TestExploreQuarantinesPanickingThread(t *testing.T) {
+	leakcheck.Check(t) // snapshot now, diff at cleanup
+	prog := parser.MustParse("racer.mh", racerSrc)
+	for _, path := range explorePaths {
+		t.Run(path.name, func(t *testing.T) {
+			disarm := chaos.Arm(chaos.Config{
+				"interp.thread": {First: 7, Action: chaos.ActPanic},
+			})
+			defer disarm()
+
+			rep := Explore(prog, path.opts)
+			if rep.Canceled {
+				t.Fatal("quarantined thread panic canceled the exploration")
+			}
+			v := rep.Verdict(interp.OutcomeInternalError)
+			if v == nil || v.Count != 1 || rep.Quarantined != 1 {
+				t.Fatalf("internal-error verdict missing or miscounted:\n%s", rep)
+			}
+			if !strings.Contains(v.Sample, "panic quarantined at interp.thread") {
+				t.Fatalf("quarantined verdict sample %q does not identify the thread boundary", v.Sample)
+			}
+			if got := chaos.Fired("interp.thread"); got != 1 {
+				t.Fatalf("chaos fired %d times, want 1", got)
+			}
+		})
+	}
+}

@@ -102,6 +102,7 @@ func exploreDFSDPOR(sess *interp.Session, opts Options, pool *pipeline.Pool,
 func (f *stealFrontier) execDPOR(w int, prefix []sched.ThreadID) {
 	st := dporPool.Get().(*dporState)
 	st.rec.Reset(prefix)
+	st.rec.Signatures = f.opts.DPORStateHash
 	dr, quarantined := f.runDPOR(st, prefix)
 	if quarantined {
 		// Panicked run: record the internal-error verdict, abandon the

@@ -97,3 +97,36 @@ func main() {
 			perRegion, perRun, iters*ranks, ceiling)
 	}
 }
+
+// TestSerializedMPIAllocations pins the per-call budget on an MPI-heavy
+// loop: every iteration is a blocking collective round plus a
+// point-to-point exchange on each rank. The residual cost is the
+// matcher's per-call records and the deadlock-detail closures; call
+// locations are no longer formatted per call.
+func TestSerializedMPIAllocations(t *testing.T) {
+	const iters = 500
+	const ranks = 2
+	perRun, steps := measureAllocs(t, `
+func main() {
+	MPI_Init()
+	var x = rank()
+	var y = 0
+	for i = 0 .. 500 {
+		MPI_Allreduce(x, y, sum)
+		if rank() == 0 {
+			MPI_Send(y, 1, 7)
+		} else {
+			MPI_Recv(x, 0, 7)
+		}
+	}
+	MPI_Finalize()
+}
+`)
+	perCall := perRun / float64(iters*ranks*2)
+	t.Logf("allocs/run=%.0f steps=%d allocs/MPI call=%.2f", perRun, steps, perCall)
+	const ceiling = 3.0
+	if perCall > ceiling {
+		t.Errorf("serialized MPI path allocates %.2f objects/call (%.0f over %d calls); ceiling %.1f",
+			perCall, perRun, iters*ranks*2, ceiling)
+	}
+}

@@ -3,8 +3,10 @@
 // threading runtime (internal/omp), dispatching the instrumentation
 // statements to the runtime verifier (internal/verifier).
 //
-// Each MPI process is a goroutine; each parallel region forks further
-// goroutines into a team. Variables declared outside a threading construct
+// Each MPI process is a simulated thread; each parallel region forks
+// further threads into a team. Free-running, every simulated thread is
+// a goroutine; under a scheduler (internal/sched) each is a coroutine
+// the scheduler's driver resumes one at a time. Variables declared outside a threading construct
 // are shared between the threads of the region (as in the OpenMP default);
 // declarations inside a construct are thread-private. Arrays pass to
 // functions and MPI vector operations by reference.
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"parcoach/internal/ast"
+	"parcoach/internal/chaos"
 	"parcoach/internal/monitor"
 	"parcoach/internal/mpi"
 	"parcoach/internal/omp"
@@ -479,9 +482,9 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		}
 		// Under a scheduling controller the fork is itself a
 		// deterministic schedule event: worker gates are registered
-		// here, by the token holder, before any worker goroutine exists,
-		// so thread ids and the runnable set never depend on goroutine
-		// spawn timing.
+		// here, by the running thread, before any worker body exists
+		// (Parallel's spawns bind the bodies to them in order), so
+		// thread ids and the runnable set never depend on spawn timing.
 		teamSize := n
 		if teamSize <= 0 {
 			teamSize = c.rt.DefaultThreads()
@@ -502,7 +505,12 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		// the Parallel call and the enclosing callFunction, whose deferred
 		// restore of c.fn would race with a read there.
 		fnName := c.fn
-		err := c.rt.Parallel(c.th, n, func(th *omp.Thread) error {
+		err := c.rt.Parallel(c.th, n, func(th *omp.Thread) (err error) {
+			if th.TID() != 0 {
+				// A worker's body is a simulated thread of its own.
+				defer quarantineThread(&err)
+				chaos.Here("interp.thread")
+			}
 			// The master runs the body on the forking goroutine, so it
 			// keeps using the forker's arena; workers draw their own.
 			// Each member's context comes from (and returns to) the
@@ -521,13 +529,12 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 					child.gate = c.gate
 				} else {
 					child.gate = workerGates[th.TID()-1]
-					child.gate.Attach()
 				}
 			}
 			if child.trace && th.TID() != 0 {
 				child.tagAcq(forkObj(c.p.Rank(), regionTag))
 			}
-			_, _, err := child.execBlock(s.Body, e)
+			_, _, err = child.execBlock(s.Body, e)
 			if child.trace && err == nil {
 				// The join edge: each member's region history
 				// happens-before the parent's post-region steps.
@@ -987,7 +994,9 @@ func (c *thctx) evalCall(ex *ast.CallExpr, e *env) (value, error) {
 //
 
 func (c *thctx) execMPI(s *ast.MPIStmt, e *env) error {
-	loc := s.KindPos.String()
+	// The location is formatted only if a report needs it (deadlock
+	// detail, mismatch error, value-oracle record).
+	loc := &s.KindPos
 	tid := c.th.ID()
 	if c.trace {
 		// Same-rank MPI call order is semantically visible (sequencing

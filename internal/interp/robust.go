@@ -15,6 +15,7 @@ package interp
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,18 @@ func (e *QuarantineError) Error() string {
 // NewQuarantineError builds the quarantined form of a recovered panic.
 func NewQuarantineError(op string, value any, stack []byte) *QuarantineError {
 	return &QuarantineError{Op: op, Value: value, Stack: stack}
+}
+
+// quarantineThread is deferred at every simulated thread's body entry
+// (rank mains and team workers): a panic in the body becomes the
+// thread's error, which aborts the run as OutcomeInternalError while the
+// thread still leaves through its normal exit path — join barrier,
+// monitor deregistration — so the rest of the run unwinds and drains.
+// Without it a panicking thread goroutine takes the whole process down.
+func quarantineThread(err *error) {
+	if rec := recover(); rec != nil {
+		*err = NewQuarantineError("interp.thread", rec, debug.Stack())
+	}
 }
 
 // Process-wide robustness counters, mirroring abandonedWorlds: the

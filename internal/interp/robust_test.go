@@ -3,9 +3,12 @@ package interp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"parcoach/internal/chaos"
+	"parcoach/internal/leakcheck"
 	"parcoach/internal/parser"
 	"parcoach/internal/sched"
 )
@@ -169,6 +172,52 @@ func TestClassifyRobustOutcomes(t *testing.T) {
 	for _, tc := range cases {
 		if got := ClassifyError(tc.err); got != tc.want {
 			t.Errorf("ClassifyError(%T) = %s, want %s", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestThreadPanicQuarantined: a panic in a rank main's or a team
+// worker's body aborts the run with a QuarantineError (outcome
+// internal-error) in both execution modes, and the session stays usable.
+func TestThreadPanicQuarantined(t *testing.T) {
+	leakcheck.Check(t) // snapshot now, diff at cleanup
+	prog := parser.MustParse("team.mh", `
+func main() {
+	MPI_Init()
+	var x = 0
+	parallel num_threads(3) {
+		atomic x += 1
+	}
+	MPI_Finalize()
+	return x
+}
+`)
+	for _, mode := range []struct {
+		name string
+		mk   func() sched.Scheduler
+	}{
+		{"free", func() sched.Scheduler { return nil }},
+		{"serialized", func() sched.Scheduler { return sched.NewRandom(1) }},
+	} {
+		// Arrival 1 is always a rank main; serialized, arrivals 3-6 are
+		// the team workers.
+		for _, first := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/arrival%d", mode.name, first), func(t *testing.T) {
+				sess := NewSession(prog, Options{Procs: 2, Threads: 2})
+				disarm := chaos.Arm(chaos.Config{"interp.thread": {First: first, Action: chaos.ActPanic}})
+				res := sess.Run(mode.mk())
+				disarm()
+				var qe *QuarantineError
+				if res.Outcome() != OutcomeInternalError || !errors.As(res.Err, &qe) || qe.Op != "interp.thread" {
+					t.Fatalf("panicking thread: outcome %s err %v, want a quarantined internal-error", res.Outcome(), res.Err)
+				}
+				if res := sess.Run(mode.mk()); res.Err != nil {
+					t.Fatalf("post-panic run failed: %v", res.Err)
+				}
+				if got := sess.Abandoned(); got != 0 {
+					t.Fatalf("quarantined run wedged its drain: Abandoned() = %d", got)
+				}
+			})
 		}
 	}
 }

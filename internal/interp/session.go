@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"parcoach/internal/ast"
+	"parcoach/internal/chaos"
 	"parcoach/internal/mpi"
 	"parcoach/internal/omp"
 	"parcoach/internal/sched"
@@ -185,19 +186,19 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 				r.tr.reset()
 			}
 		}
-		world.Monitor().SetSched(r.ctl)
-		r.ctl.Start()
+		r.ctl.Bind(world.Monitor())
 	}
 	if testWedge != nil {
 		testWedge(world)
 	}
 	guard := s.armGuard(ctx, world.Monitor())
 	ranks := make([]*rankState, opts.Procs)
-	err := world.Run(func(p *mpi.Proc) error {
+	err := world.Run(func(p *mpi.Proc) (err error) {
+		defer quarantineThread(&err)
+		chaos.Here("interp.thread")
 		var gate *sched.Gate
 		if r.ctl != nil {
 			gate = r.ctl.ProcGate(p.Rank())
-			gate.Attach()
 		}
 		rs := rankPool.Get().(*rankState)
 		ranks[p.Rank()] = rs // disjoint slot per rank
@@ -218,6 +219,9 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		return nil
 	})
 	res.Err = err
+	if tp, ok := err.(*sched.ThreadPanic); ok {
+		res.Err = NewQuarantineError("interp.thread", tp.Value, tp.Stack)
+	}
 	if guard != nil {
 		// Disarm before any recycling: after disarm returns, no late
 		// guard callback can abort the monitor this env is about to

@@ -37,6 +37,10 @@ var allowlist = []string{
 	// process-lifetime free list, not a leak.
 	"parcoach/internal/pipeline.(*spawnWorker)",
 	"parcoach/internal/pipeline.spawnLoop",
+	// Idle pooled coroutines (sched) park between simulated threads the
+	// same way. Only the idle frame matches: a coroutine suspended
+	// mid-body is a wedged run and still counts as a leak.
+	"parcoach/internal/sched.(*coro).idle",
 }
 
 func interestingGoroutines() map[string]string {

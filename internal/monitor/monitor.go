@@ -20,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"parcoach/internal/pipeline"
 )
 
 // Monitor coordinates all blocking in one run.
@@ -45,27 +47,33 @@ type Monitor struct {
 }
 
 // SchedHook is the scheduling controller interface (internal/sched): a
-// serializing scheduler that tracks exactly one running thread at a
-// time. The monitor is the single chokepoint every blocking transition
-// passes through, so these five callbacks are all a controller needs to
-// keep its runnable set exact. Waiter identities are passed as `any` so
-// the monitor stays free of scheduler types.
+// serializing scheduler that runs exactly one simulated thread at a
+// time. Under a controller every simulated thread is a coroutine the
+// controller resumes when its scheduler picks it; the monitor is the
+// single chokepoint every thread creation and blocking transition
+// passes through, so these callbacks are all a controller needs to keep
+// its runnable set exact. Waiter identities are passed as `any` so the
+// monitor stays free of scheduler types.
 //
 // HolderParked, WaiterWoken, HolderExited and ReleaseAll are called with
-// the monitor lock held (lock order: monitor → controller). Resume is
-// called lock-free from Await and may block until the controller grants
-// the woken thread the run token again.
+// the monitor lock held (lock order: monitor → controller). Spawn and
+// Park are called without it: Park suspends the calling thread, and no
+// lock may be held across a suspension.
 type SchedHook interface {
+	// Spawn runs fn as a new simulated thread under the controller.
+	Spawn(fn func())
 	// HolderParked: the running thread just registered as blocked on w.
 	HolderParked(w any)
 	// WaiterWoken: w was released; its thread is runnable again.
 	WaiterWoken(w any)
-	// Resume: w's thread returned from its wait and must re-acquire the
-	// run token before continuing.
-	Resume(w any)
-	// HolderExited: the running thread's goroutine is done.
+	// Park suspends the running thread, which just parked on w, until
+	// the controller resumes it: after w was woken and the scheduler
+	// picked the thread again, or after the run aborted.
+	Park(w any)
+	// HolderExited: the running thread is done.
 	HolderExited()
-	// ReleaseAll: the run aborted; stop scheduling, free everything.
+	// ReleaseAll: the run aborted; stop scheduling and let every thread
+	// run to its exit.
 	ReleaseAll()
 }
 
@@ -76,6 +84,23 @@ func (m *Monitor) SetSched(h SchedHook) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sched = h
+}
+
+// Spawn starts fn as a new simulated thread: a coroutine of the
+// scheduling controller when one is installed, otherwise a pooled
+// goroutine (pipeline.Spawn). It is the one place the simulated runtimes
+// create threads, so free-running and serialized execution share every
+// other line of the runtime code. The caller registers the thread with
+// ThreadStarted first; fn must end with ThreadExited.
+func (m *Monitor) Spawn(fn func()) {
+	m.mu.Lock()
+	h := m.sched
+	m.mu.Unlock()
+	if h != nil {
+		h.Spawn(fn)
+		return
+	}
+	pipeline.Spawn(fn)
 }
 
 // New returns an empty monitor.
@@ -96,7 +121,7 @@ type Waiter struct {
 	ch     chan struct{}
 	err    error
 	// sched, when the thread actually parked under a scheduling
-	// controller, routes the post-wake Resume through the controller.
+	// controller, routes the wait through the controller's Park.
 	sched SchedHook
 }
 
@@ -149,9 +174,8 @@ func (m *Monitor) Drained() <-chan struct{} {
 // ThreadExited unregisters a live thread and re-checks for quiescence:
 // a thread exiting while every other one is blocked is a deadlock (e.g. a
 // process returning from main while its peers wait in a collective).
-// Under a scheduling controller this must be the exiting goroutine's
-// last monitor interaction: the controller hands the run token to the
-// next thread here.
+// Under a scheduling controller this must be the exiting thread's last
+// monitor interaction: the controller picks the next thread here.
 func (m *Monitor) ThreadExited() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -190,7 +214,7 @@ func (m *Monitor) NewWaiterLocked(reason string, detail func() string) *Waiter {
 	if m.sched != nil && !m.aborted.Load() {
 		// The quiescence check ran first: if parking this thread
 		// completed a deadlock, the run is aborted and the controller is
-		// already released — no token handoff happens after abort.
+		// already released — no scheduling decision happens after abort.
 		w.sched = m.sched
 		m.sched.HolderParked(w)
 	}
@@ -214,14 +238,17 @@ func (m *Monitor) WakeLocked(w *Waiter) {
 }
 
 // Await blocks until woken or aborted, returning the abort error if the
-// run failed. Must be called without the lock held. The waiter is dead
-// after Await returns — it goes back on the monitor's free list, so
-// callers must not retain it.
+// run failed. Must be called without the lock held. Under a scheduling
+// controller the thread suspends in the controller instead of blocking
+// its goroutine; by the time the controller resumes it, the wake (or the
+// abort) has already signaled the channel, so the receive below never
+// blocks there. The waiter is dead after Await returns — it goes back on
+// the monitor's free list, so callers must not retain it.
 func (w *Waiter) Await() error {
-	<-w.ch
 	if w.sched != nil {
-		w.sched.Resume(w)
+		w.sched.Park(w)
 	}
+	<-w.ch
 	err := w.err
 	m := w.m
 	m.mu.Lock()
@@ -245,7 +272,7 @@ func (m *Monitor) AbortLocked(err error) {
 	}
 	if m.sched != nil {
 		// Release the scheduler before waking anyone so abort unwinding
-		// free-runs instead of queueing on the run token.
+		// runs every thread to its exit instead of waiting for picks.
 		m.sched.ReleaseAll()
 	}
 	m.err = err

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"parcoach/internal/monitor"
-	"parcoach/internal/pipeline"
 )
 
 // Op identifies a collective operation.
@@ -190,7 +189,7 @@ type CollCall struct {
 	Value  int64
 	Vector []int64 // snapshot of the source buffer at call time
 	Live   []int64 // the caller's live source buffer, if any
-	Loc    string
+	Loc    string  // the call's source location, "" when unknown
 
 	OutValue  int64
 	OutVector []int64
@@ -262,9 +261,11 @@ func (w *World) Level() ThreadLevel { return w.cfg.Level }
 // Proc returns the process with the given rank.
 func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 
-// Run executes body once per rank, each on its own goroutine registered
-// with the monitor, and returns the first error (abort, deadlock, or a
-// body error). A nil return means every process completed.
+// Run executes body once per rank, each as a simulated thread registered
+// with the monitor (monitor.Spawn: a pooled goroutine, or a coroutine
+// of the scheduling controller), and returns the first error (abort,
+// deadlock, or a body error). A nil return means every process
+// completed.
 func (w *World) Run(body func(p *Proc) error) error {
 	var wg sync.WaitGroup
 	// Register every rank as live before launching any: otherwise the
@@ -276,9 +277,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 	for _, p := range w.procs {
 		wg.Add(1)
 		p := p
-		// Pooled executor goroutines keep their interpreter-deep stacks
-		// warm across the thousands of runs a schedule exploration makes.
-		pipeline.Spawn(func() {
+		w.mon.Spawn(func() {
 			defer wg.Done()
 			err := body(p)
 			if err != nil && !w.mon.Aborted() {

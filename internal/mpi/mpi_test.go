@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/source"
 )
 
 func newWorld(t *testing.T, n int, level ThreadLevel) *World {
@@ -41,7 +42,7 @@ func TestWorldValidation(t *testing.T) {
 func TestBarrierCompletes(t *testing.T) {
 	err := runAll(t, 4, func(p *Proc) error {
 		for i := 0; i < 10; i++ {
-			if _, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, ""); err != nil {
+			if _, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, nil); err != nil {
 				return err
 			}
 		}
@@ -58,7 +59,7 @@ func TestBcast(t *testing.T) {
 		if p.Rank() == 2 {
 			contrib = 99
 		}
-		v, _, err := p.Collective(1, OpBcast, RedSum, 2, contrib, nil, "")
+		v, _, err := p.Collective(1, OpBcast, RedSum, 2, contrib, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -74,28 +75,28 @@ func TestBcast(t *testing.T) {
 
 func TestReduceAndAllreduce(t *testing.T) {
 	err := runAll(t, 4, func(p *Proc) error {
-		v, _, err := p.Collective(1, OpReduce, RedSum, 0, int64(p.Rank()+1), nil, "")
+		v, _, err := p.Collective(1, OpReduce, RedSum, 0, int64(p.Rank()+1), nil, nil)
 		if err != nil {
 			return err
 		}
 		if p.Rank() == 0 && v != 10 {
 			return errors.New("reduce sum wrong")
 		}
-		v, _, err = p.Collective(1, OpAllreduce, RedMax, 0, int64(p.Rank()), nil, "")
+		v, _, err = p.Collective(1, OpAllreduce, RedMax, 0, int64(p.Rank()), nil, nil)
 		if err != nil {
 			return err
 		}
 		if v != 3 {
 			return errors.New("allreduce max wrong")
 		}
-		v, _, err = p.Collective(1, OpAllreduce, RedProd, 0, int64(p.Rank()+1), nil, "")
+		v, _, err = p.Collective(1, OpAllreduce, RedProd, 0, int64(p.Rank()+1), nil, nil)
 		if err != nil {
 			return err
 		}
 		if v != 24 {
 			return errors.New("allreduce prod wrong")
 		}
-		v, _, err = p.Collective(1, OpAllreduce, RedMin, 0, int64(p.Rank()+5), nil, "")
+		v, _, err = p.Collective(1, OpAllreduce, RedMin, 0, int64(p.Rank()+5), nil, nil)
 		if err != nil {
 			return err
 		}
@@ -111,7 +112,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	err := runAll(t, 4, func(p *Proc) error {
-		v, _, err := p.Collective(1, OpScan, RedSum, 0, 1, nil, "")
+		v, _, err := p.Collective(1, OpScan, RedSum, 0, 1, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -129,7 +130,7 @@ func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 	err := runAll(t, 3, func(p *Proc) error {
 		r := int64(p.Rank())
 		// Gather at root 1.
-		_, vec, err := p.Collective(1, OpGather, RedSum, 1, r*10, nil, "")
+		_, vec, err := p.Collective(1, OpGather, RedSum, 1, r*10, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -141,7 +142,7 @@ func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 			return errors.New("non-root got a gather vector")
 		}
 		// Allgather.
-		_, vec, err = p.Collective(1, OpAllgather, RedSum, 0, r+1, nil, "")
+		_, vec, err = p.Collective(1, OpAllgather, RedSum, 0, r+1, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -153,7 +154,7 @@ func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 		if p.Rank() == 0 {
 			src = []int64{7, 8, 9}
 		}
-		v, _, err := p.Collective(1, OpScatter, RedSum, 0, 0, src, "")
+		v, _, err := p.Collective(1, OpScatter, RedSum, 0, 0, src, nil)
 		if err != nil {
 			return err
 		}
@@ -162,7 +163,7 @@ func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 		}
 		// Alltoall: rank r sends r*10+j to rank j.
 		contrib := []int64{r * 10, r*10 + 1, r*10 + 2}
-		_, vec, err = p.Collective(1, OpAlltoall, RedSum, 0, 0, contrib, "")
+		_, vec, err = p.Collective(1, OpAlltoall, RedSum, 0, 0, contrib, nil)
 		if err != nil {
 			return err
 		}
@@ -181,10 +182,10 @@ func TestGatherScatterAllgatherAlltoall(t *testing.T) {
 func TestMismatchDetected(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			_, _, err := p.Collective(1, OpBcast, RedSum, 0, 0, nil, "a.mh:3")
+			_, _, err := p.Collective(1, OpBcast, RedSum, 0, 0, nil, &source.Pos{File: "a.mh", Line: 3})
 			return err
 		}
-		_, _, err := p.Collective(1, OpReduce, RedSum, 0, 0, nil, "a.mh:5")
+		_, _, err := p.Collective(1, OpReduce, RedSum, 0, 0, nil, &source.Pos{File: "a.mh", Line: 5})
 		return err
 	})
 	var mm *MismatchError
@@ -199,7 +200,7 @@ func TestMismatchDetected(t *testing.T) {
 
 func TestRootMismatchDetected(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
-		_, _, err := p.Collective(1, OpBcast, RedSum, p.Rank(), 0, nil, "")
+		_, _, err := p.Collective(1, OpBcast, RedSum, p.Rank(), 0, nil, nil)
 		return err
 	})
 	var mm *MismatchError
@@ -211,7 +212,7 @@ func TestRootMismatchDetected(t *testing.T) {
 func TestMissingCollectiveIsDeadlock(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, "x.mh:9")
+			_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, &source.Pos{File: "x.mh", Line: 9})
 			return err
 		}
 		return nil // rank 1 leaves without the barrier
@@ -229,9 +230,9 @@ func TestMissingCollectiveIsDeadlock(t *testing.T) {
 func TestSendRecvRendezvous(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			return p.Send(1, 42, 1, 7, "")
+			return p.Send(1, 42, 1, 7, nil)
 		}
-		v, err := p.Recv(1, 0, 7, "")
+		v, err := p.Recv(1, 0, 7, nil)
 		if err != nil {
 			return err
 		}
@@ -248,9 +249,9 @@ func TestSendRecvRendezvous(t *testing.T) {
 func TestSendRecvTagMismatchDeadlocks(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
 		if p.Rank() == 0 {
-			return p.Send(1, 1, 1, 3, "")
+			return p.Send(1, 1, 1, 3, nil)
 		}
-		_, err := p.Recv(1, 0, 4, "") // wrong tag
+		_, err := p.Recv(1, 0, 4, nil) // wrong tag
 		return err
 	})
 	var d *monitor.DeadlockError
@@ -264,10 +265,10 @@ func TestPingPong(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
 		for i := 0; i < rounds; i++ {
 			if p.Rank() == 0 {
-				if err := p.Send(1, int64(i), 1, 0, ""); err != nil {
+				if err := p.Send(1, int64(i), 1, 0, nil); err != nil {
 					return err
 				}
-				v, err := p.Recv(1, 1, 0, "")
+				v, err := p.Recv(1, 1, 0, nil)
 				if err != nil {
 					return err
 				}
@@ -275,11 +276,11 @@ func TestPingPong(t *testing.T) {
 					return errors.New("pingpong payload wrong")
 				}
 			} else {
-				v, err := p.Recv(1, 0, 0, "")
+				v, err := p.Recv(1, 0, 0, nil)
 				if err != nil {
 					return err
 				}
-				if err := p.Send(1, v, 0, 0, ""); err != nil {
+				if err := p.Send(1, v, 0, 0, nil); err != nil {
 					return err
 				}
 			}
@@ -294,7 +295,7 @@ func TestPingPong(t *testing.T) {
 func TestCollectiveBeforeInit(t *testing.T) {
 	w := newWorld(t, 2, ThreadMultiple)
 	err := w.Run(func(p *Proc) error {
-		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, "")
+		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, nil)
 		return err
 	})
 	var ue *UsageError
@@ -315,7 +316,7 @@ func TestCollectiveAfterFinalize(t *testing.T) {
 		if err := p.Finalize(1); err != nil {
 			return err
 		}
-		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, "")
+		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, nil)
 		return err
 	})
 	var ue *UsageError
@@ -343,7 +344,7 @@ func TestFunneledRejectsNonMainThread(t *testing.T) {
 		if err := p.Init(1); err != nil {
 			return err
 		}
-		_, _, err := p.Collective(2, OpBarrier, RedSum, 0, 0, nil, "") // thread 2 != main
+		_, _, err := p.Collective(2, OpBarrier, RedSum, 0, 0, nil, nil) // thread 2 != main
 		return err
 	})
 	var ue *UsageError
@@ -365,15 +366,15 @@ func TestConcurrentCollectiveCallsSameRank(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				defer w.Monitor().ThreadExited()
-				_, _, err := p.Collective(2, OpBcast, RedSum, 0, 0, nil, "")
+				_, _, err := p.Collective(2, OpBcast, RedSum, 0, 0, nil, nil)
 				done <- err
 			}()
-			_, _, err := p.Collective(3, OpReduce, RedSum, 0, 0, nil, "")
+			_, _, err := p.Collective(3, OpReduce, RedSum, 0, 0, nil, nil)
 			<-done
 			return err
 		}
 		// rank 1 blocks on a barrier that can never complete cleanly.
-		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, "")
+		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, nil)
 		return err
 	})
 	// Depending on arrival order the runtime sees either the overlapping
@@ -390,7 +391,7 @@ func TestConcurrentCollectiveCallsSameRank(t *testing.T) {
 
 func TestInvalidRootAborts(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
-		_, _, err := p.Collective(1, OpBcast, RedSum, 5, 0, nil, "")
+		_, _, err := p.Collective(1, OpBcast, RedSum, 5, 0, nil, nil)
 		return err
 	})
 	var ue *UsageError
@@ -404,7 +405,7 @@ func TestInvalidRedOpAborts(t *testing.T) {
 	// RedOp.apply and silently reduce as sum; it must abort the world with
 	// a diagnostic at collective entry instead.
 	err := runAll(t, 2, func(p *Proc) error {
-		_, _, err := p.Collective(1, OpAllreduce, RedOp(99), 0, int64(p.Rank()+1), nil, "")
+		_, _, err := p.Collective(1, OpAllreduce, RedOp(99), 0, int64(p.Rank()+1), nil, nil)
 		return err
 	})
 	var ue *UsageError
@@ -437,7 +438,7 @@ func TestRoundObserverSeesCallsAndResults(t *testing.T) {
 		if err := p.Init(1); err != nil {
 			return err
 		}
-		if _, _, err := p.Collective(1, OpAllreduce, RedSum, 0, int64(p.Rank()+1), nil, "here"); err != nil {
+		if _, _, err := p.Collective(1, OpAllreduce, RedSum, 0, int64(p.Rank()+1), nil, &source.Pos{File: "here.mh", Line: 4}); err != nil {
 			return err
 		}
 		return p.Finalize(1)
@@ -455,7 +456,7 @@ func TestRoundObserverSeesCallsAndResults(t *testing.T) {
 		t.Fatal("observer never saw the allreduce round")
 	}
 	for r, c := range red.calls {
-		if c.Rank != r || c.Value != int64(r+1) || c.OutValue != 6 || c.Loc != "here" {
+		if c.Rank != r || c.Value != int64(r+1) || c.OutValue != 6 || c.Loc != "here.mh:4" {
 			t.Fatalf("call %d observed wrong: %+v", r, c)
 		}
 	}
@@ -474,7 +475,7 @@ func TestRoundObserverErrorAbortsWorld(t *testing.T) {
 		if err := p.Init(1); err != nil {
 			return err
 		}
-		_, _, err := p.Collective(1, OpAllreduce, RedSum, 0, 1, nil, "")
+		_, _, err := p.Collective(1, OpAllreduce, RedSum, 0, 1, nil, nil)
 		return err
 	})
 	if !errors.Is(err, boom) {
@@ -493,7 +494,7 @@ func TestRoundObserverSurvivesReset(t *testing.T) {
 		if err := p.Init(1); err != nil {
 			return err
 		}
-		if _, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, ""); err != nil {
+		if _, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, nil); err != nil {
 			return err
 		}
 		return p.Finalize(1)
@@ -539,7 +540,7 @@ func TestManyRanksStress(t *testing.T) {
 	err := runAll(t, 16, func(p *Proc) error {
 		total := int64(0)
 		for i := 0; i < 20; i++ {
-			v, _, err := p.Collective(1, OpAllreduce, RedSum, 0, 1, nil, "")
+			v, _, err := p.Collective(1, OpAllreduce, RedSum, 0, 1, nil, nil)
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/source"
 )
 
 // Proc is one MPI process. Its methods are called by the interpreter (or
@@ -160,7 +161,7 @@ type pendingCall struct {
 	// live is the caller's live source buffer the vector snapshot was
 	// taken from; the round observer re-reads it to detect torn reads.
 	live []int64
-	loc  string
+	loc  *source.Pos
 
 	waiter *monitor.Waiter
 	// result slots filled by the completing rank
@@ -170,9 +171,10 @@ type pendingCall struct {
 
 // Collective performs op with this process's contribution and returns the
 // process's result. Value/vector use depends on the operation (see the
-// package comment of internal/interp for the mapping). loc is a source
-// location for error messages.
-func (p *Proc) Collective(threadID int64, op Op, red RedOp, root int, value int64, vector []int64, loc string) (int64, []int64, error) {
+// package comment of internal/interp for the mapping). loc is the call's
+// source location for error messages and deadlock reports, nil when
+// unknown; it is only formatted when one of those is built.
+func (p *Proc) Collective(threadID int64, op Op, red RedOp, root int, value int64, vector []int64, loc *source.Pos) (int64, []int64, error) {
 	return p.CollectiveLive(threadID, op, red, root, value, vector, nil, loc)
 }
 
@@ -180,7 +182,7 @@ func (p *Proc) Collective(threadID int64, op Op, red RedOp, root int, value int6
 // snapshot was read from, exposed to the round observer so the value
 // oracle can detect a source torn by a concurrent write while the call
 // was in flight. live may be nil (value-only collectives, or no oracle).
-func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value int64, vector, live []int64, loc string) (int64, []int64, error) {
+func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value int64, vector, live []int64, loc *source.Pos) (int64, []int64, error) {
 	w := p.world
 	m := w.mon
 	m.Lock()
@@ -266,11 +268,19 @@ func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value 
 	return out, outV, nil
 }
 
-func locSuffix(loc string) string {
-	if loc == "" {
+// locString renders an optional call location ("" when unknown).
+func locString(loc *source.Pos) string {
+	if loc == nil {
 		return ""
 	}
-	return " at " + loc
+	return loc.String()
+}
+
+func locSuffix(loc *source.Pos) string {
+	if loc == nil {
+		return ""
+	}
+	return " at " + loc.String()
 }
 
 // validateRoundLocked checks that all arrived calls agree on op — and on
@@ -296,10 +306,7 @@ func (w *World) validateRoundLocked() error {
 	}
 	calls := make(map[int]string, len(w.arrived))
 	for r, pc := range w.arrived {
-		s := pc.op.String()
-		if pc.loc != "" {
-			s += " at " + pc.loc
-		}
+		s := pc.op.String() + locSuffix(pc.loc)
 		if opHasRoot(pc.op) {
 			s += fmt.Sprintf(" (root %d)", pc.root)
 		}
@@ -409,7 +416,7 @@ func (w *World) observedRoundLocked() []CollCall {
 		pc := w.arrived[r]
 		calls = append(calls, CollCall{
 			Rank: r, Op: pc.op, Red: pc.red, Root: pc.root,
-			Value: pc.value, Vector: pc.vector, Live: pc.live, Loc: pc.loc,
+			Value: pc.value, Vector: pc.vector, Live: pc.live, Loc: locString(pc.loc),
 			OutValue: pc.outValue, OutVector: pc.outVector,
 		})
 	}
@@ -448,7 +455,7 @@ type pendingRecv struct {
 
 // Send delivers value to dest with the given tag, blocking until the
 // receiver arrives (synchronous-mode semantics, like MPI_Ssend).
-func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) error {
+func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc *source.Pos) error {
 	w := p.world
 	m := w.mon
 	m.Lock()
@@ -494,7 +501,7 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 
 // Recv blocks until a matching message from src with the given tag
 // arrives and returns its payload.
-func (p *Proc) Recv(threadID int64, src, tag int, loc string) (int64, error) {
+func (p *Proc) Recv(threadID int64, src, tag int, loc *source.Pos) (int64, error) {
 	w := p.world
 	m := w.mon
 	m.Lock()

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"parcoach/internal/monitor"
-	"parcoach/internal/pipeline"
 )
 
 // Policy selects how single constructs elect their executing thread.
@@ -265,7 +264,7 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 	for i := 1; i < n; i++ {
 		worker := rt.newThread(team, i, 0)
 		mon := rt.mon // pin: a session may rebind rt after this run aborts
-		pipeline.Spawn(func() {
+		mon.Spawn(func() {
 			defer mon.ThreadExited()
 			rt.runMember(worker, body)
 		})

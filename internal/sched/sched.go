@@ -4,17 +4,24 @@
 // decides, at every statement boundary and every blocking transition,
 // which enabled thread runs next.
 //
+// Under a Controller every simulated thread — rank mains and team
+// workers alike — is a pooled coroutine (iter.Pull), and one driver
+// goroutine per run resumes whichever thread the scheduler picked. A
+// thread hands control back at three points: Gate.Yield when the
+// scheduler picks another thread at a statement boundary, Park when the
+// thread blocks in the monitor, and its exit. A handoff is a direct
+// coroutine switch; no channel, select or goroutine wakeup is involved.
+//
 // The Controller piggybacks on the blocking kernel (internal/monitor):
-// every wait in the simulated runtimes already funnels through
-// monitor.NewWaiterLocked / Waiter.Await, so the monitor's scheduler
-// hooks tell the controller precisely when the running thread parks,
-// when a parked thread becomes runnable again, and when a thread's
-// goroutine exits. Between those transitions the interpreter calls
-// Gate.Yield at each statement, giving the Scheduler statement-level
-// interleaving control. Because only the token holder ever touches
-// simulation state, a run is a deterministic function of the scheduler's
-// decisions — which is what makes recorded schedules replayable and
-// exhaustive enumeration (internal/explore) possible.
+// thread creation (monitor.Spawn) and every wait in the simulated
+// runtimes (monitor.NewWaiterLocked / Waiter.Await) already funnel
+// through the monitor, so its scheduler hooks tell the controller
+// precisely when a thread is created, when the running thread parks,
+// when a parked thread becomes runnable again, and when a thread exits.
+// Because only the resumed thread ever touches simulation state, a run is
+// a deterministic function of the scheduler's decisions — which is what
+// makes recorded schedules replayable and exhaustive enumeration
+// (internal/explore) possible.
 package sched
 
 import (
@@ -28,6 +35,7 @@ import (
 	"sync"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/pipeline"
 )
 
 // ThreadID identifies one simulated thread, assigned in creation order:
@@ -53,9 +61,9 @@ type Choice struct {
 	// (id, liveness, last source line, executed-statement count). Two
 	// interleavings that drove all threads to the same positions collide,
 	// which is what lets the DFS exploration prune commuting schedules.
-	// Only branch points (more than one enabled thread) carry a
-	// signature; singleton decisions leave it 0 — no scheduler branches
-	// there, so the per-statement fast path skips the hash.
+	// It is computed only for schedulers that ask for it (SigReader) and
+	// only at branch points (more than one enabled thread); everywhere
+	// else it is 0 and the per-statement path skips the hash.
 	Sig uint64
 }
 
@@ -64,6 +72,13 @@ type Choice struct {
 // that is the whole replayability contract.
 type Scheduler interface {
 	Next(c Choice) ThreadID
+}
+
+// SigReader is implemented by schedulers that may read Choice.Sig. The
+// controller maintains the positional signature only when ReadsSig
+// reports true at NewController; every other scheduler sees Sig == 0.
+type SigReader interface {
+	ReadsSig() bool
 }
 
 // TraceSource is implemented by schedulers (the DPORRecorder) that want
@@ -76,24 +91,37 @@ type TraceSource interface {
 	EventTrace() *monitor.EventTrace
 }
 
+// ThreadPanic is the abort error of a serialized run whose simulated
+// thread panicked outside any recovery of its own: the driver catches
+// the panic at the coroutine boundary, aborts the run with it and runs
+// the remaining threads to their exit.
+type ThreadPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (e *ThreadPanic) Error() string { return fmt.Sprintf("simulated thread panicked: %v", e.Value) }
+
 //
-// Controller: the serialization token machine.
+// Controller: the serialized run's driver.
 //
 
 type gateState int
 
 const (
-	gateReady  gateState = iota // runnable, waiting for (or holding) the token
+	gateReady  gateState = iota // runnable (or running)
 	gateParked                  // blocked in the monitor
-	gateDone                    // goroutine exited
+	gateDone                    // thread exited
 )
 
 // Gate is the controller-side handle of one simulated thread. The
 // interpreter threads carry their gate and call Yield on every statement.
 type Gate struct {
-	ctl   *Controller
-	id    ThreadID
-	grant chan struct{}
+	ctl *Controller
+	id  ThreadID
+	// co is the coroutine running this thread's body: bound by Spawn,
+	// cleared by the driver once the body exited.
+	co *coro
 
 	// Guarded by ctl.mu.
 	state gateState
@@ -111,8 +139,8 @@ type Gate struct {
 	tracing bool
 	// acc buffers the object accesses of the current event. Only the
 	// owning thread appends (it is the only one running), and every
-	// flush into the controller's trace happens on that same goroutine
-	// (Yield, park, exit and abort all run on the thread itself), so the
+	// flush into the controller's trace happens while that thread is the
+	// running one (Yield, park, exit and an abort it raises), so the
 	// buffer needs no lock. Post-abort stragglers keep appending
 	// harmlessly; the buffer is reset when the gate is recycled.
 	acc []monitor.Access
@@ -126,24 +154,27 @@ func (g *Gate) ID() ThreadID { return g.id }
 func (g *Gate) Tracing() bool { return g.tracing }
 
 // Access tags the current event with one object access. Call only from
-// the gate's own thread (the token holder).
+// the gate's own thread (the running one).
 func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 	g.acc = append(g.acc, monitor.Access{Obj: o, Kind: kind})
 }
 
 // Controller serializes one run. It implements the monitor's scheduler
-// hook interface; hook methods are called with the monitor lock held and
-// only ever take the controller lock inside (lock order: monitor → ctl).
+// hook interface; hook methods called with the monitor lock held only
+// ever take the controller lock inside (lock order: monitor → ctl). No
+// lock is held across a coroutine switch.
 type Controller struct {
-	mu     sync.Mutex
-	sched  Scheduler
-	gates  []*Gate
-	holder ThreadID // token holder, -1 when none
+	mu    sync.Mutex
+	sched Scheduler
+	mon   *monitor.Monitor
+	gates []*Gate
+	// holder is the thread the scheduler picked last (the one running
+	// or about to be resumed), -1 when none is runnable.
+	holder ThreadID
 	seq    int64
 	// switches counts decisions whose pick differs from Choice.Cur (a
 	// parked or exited holder's successor always counts).
 	switches int64
-	released chan struct{}
 	isOff    bool
 	owner    map[interface{}]*Gate // monitor waiter → parked gate
 
@@ -158,13 +189,14 @@ type Controller struct {
 
 	enabledScratch []ThreadID
 
-	// Incremental positional-state signature: xsig is the XOR of every
-	// gate's cached per-gate FNV contribution. Gates whose position
-	// changed since their contribution was computed sit on the dirty
-	// list; sigLocked folds them in lazily, so long single-threaded
-	// stretches (one dirty gate, many statements) never pay a
-	// whole-gate-set rehash and nothing on the per-statement path
-	// allocates.
+	// Incremental positional-state signature, maintained only when the
+	// scheduler reads it (sigOn): xsig is the XOR of every gate's cached
+	// per-gate FNV contribution. Gates whose position changed since
+	// their contribution was computed sit on the dirty list; sigLocked
+	// folds them in lazily, so long single-threaded stretches (one dirty
+	// gate, many statements) never pay a whole-gate-set rehash and
+	// nothing on the per-statement path allocates.
+	sigOn bool
 	xsig  uint64
 	dirty []*Gate
 
@@ -176,8 +208,20 @@ type Controller struct {
 	trace   *monitor.EventTrace
 	branchN int
 
-	// freeGates recycles gate structs (and their grant channels) across
-	// runs when the controller itself is recycled.
+	// Driver state. procs rank gates are pre-registered; Spawn binds
+	// coroutines to gates in id order (bound counts them) and starts the
+	// driver once every rank main is bound. running counts bound
+	// coroutines whose body has not exited. wake rouses a driver that
+	// has nothing runnable (see drive); driving lets Recycle wait for
+	// the driver's last touch of the controller.
+	procs   int
+	bound   int
+	running int
+	wake    chan struct{}
+	driving sync.WaitGroup
+
+	// freeGates recycles gate structs across runs when the controller
+	// itself is recycled.
 	freeGates []*Gate
 }
 
@@ -194,15 +238,22 @@ func NewController(s Scheduler, procs int) *Controller {
 	c.seq = 0
 	c.switches = 0
 	c.isOff = false
-	if c.released == nil {
-		// Fresh controller, or recycled from an aborted run (whose
-		// closed channel Recycle dropped).
-		c.released = make(chan struct{})
-	}
 	if c.owner == nil {
 		c.owner = make(map[interface{}]*Gate)
 	} else {
 		clear(c.owner)
+	}
+	if c.wake == nil {
+		c.wake = make(chan struct{}, 1)
+	}
+	select { // drop a wakeup the previous run left unconsumed
+	case <-c.wake:
+	default:
+	}
+	c.procs, c.bound, c.running = procs, 0, 0
+	c.sigOn = false
+	if sr, ok := s.(SigReader); ok {
+		c.sigOn = sr.ReadsSig()
 	}
 	c.xsig = 0
 	c.dirty = c.dirty[:0]
@@ -223,23 +274,22 @@ func (c *Controller) newGateLocked() *Gate {
 	if n := len(c.freeGates); n > 0 {
 		g = c.freeGates[n-1]
 		c.freeGates = c.freeGates[:n-1]
-		select { // defensive: a recycled gate must start with no token
-		case <-g.grant:
-		default:
-		}
 	} else {
-		g = &Gate{grant: make(chan struct{}, 1)}
+		g = new(Gate)
 	}
 	g.ctl = c
 	g.id = ThreadID(len(c.gates))
+	g.co = nil
 	g.state = gateReady
 	g.line = 0
 	g.steps = 0
 	g.dirty = false
 	g.tracing = c.trace != nil
 	g.acc = g.acc[:0]
-	g.sig = g.contribution()
-	c.xsig ^= g.sig
+	if c.sigOn {
+		g.sig = g.contribution()
+		c.xsig ^= g.sig
+	}
 	c.gates = append(c.gates, g)
 	c.readyAddLocked(g.id)
 	return g
@@ -272,19 +322,17 @@ func (c *Controller) readyRemoveLocked(id ThreadID) {
 }
 
 // Recycle returns the controller and its gates to the pool. Only call
-// once the run has fully drained (monitor.Drained): until then, a
-// goroutine released by an abort may still be parked on — or about to
-// touch — its gate. After the drain nothing can reach the controller,
-// so clean and aborted runs alike recycle here (an aborted run's closed
-// release channel is dropped and remade on reuse).
+// once the run has fully drained (monitor.Drained); Recycle then waits
+// for the driver's last steps (returning the final coroutine to its
+// pool), after which nothing can reach the controller, so clean and
+// aborted runs alike recycle here.
 func (c *Controller) Recycle() {
+	c.driving.Wait()
 	c.mu.Lock()
-	if c.isOff {
-		c.released = nil
-	}
 	c.freeGates = append(c.freeGates, c.gates...)
 	c.gates = c.gates[:0]
 	c.sched = nil
+	c.mon = nil
 	clear(c.owner)
 	c.dirty = c.dirty[:0]
 	c.ready = c.ready[:0]
@@ -292,28 +340,6 @@ func (c *Controller) Recycle() {
 	c.trace = nil
 	c.mu.Unlock()
 	ctlPool.Put(c)
-}
-
-// ProcGate returns the pre-registered gate of the given rank's main
-// thread. Proc goroutines call this concurrently with the already
-// granted thread (which may be forking new gates), so it locks.
-func (c *Controller) ProcGate(rank int) *Gate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gates[rank]
-}
-
-// Fork registers n new team-worker threads at a deterministic point of
-// the schedule (the forking thread holds the token). The returned gates
-// are enabled immediately; their goroutines bind to them with Attach.
-func (c *Controller) Fork(n int) []*Gate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Gate, n)
-	for i := range out {
-		out[i] = c.newGateLocked()
-	}
-	return out
 }
 
 // Counts reports the run's scheduling work: decisions taken (one per
@@ -326,47 +352,145 @@ func (c *Controller) Counts() (decisions, switches int64) {
 	return c.seq, c.switches
 }
 
-// Start hands the token to the scheduler's first pick. Call once, after
-// binding the controller to the monitor and before launching the run.
-func (c *Controller) Start() {
+// ProcGate returns the pre-registered gate of the given rank's main
+// thread.
+func (c *Controller) ProcGate(rank int) *Gate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pickLocked(-1)
+	return c.gates[rank]
 }
 
-// Attach blocks the calling goroutine until its gate is granted the
-// token for the first time.
-func (g *Gate) Attach() { g.await() }
+// Fork registers n new team-worker threads at a deterministic point of
+// the schedule (the forking thread is the running one). The returned
+// gates are enabled immediately; the runtime's next n Spawn calls bind
+// the workers' bodies to them, in order.
+func (c *Controller) Fork(n int) []*Gate {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*Gate, n)
+	for i := range out {
+		out[i] = c.newGateLocked()
+	}
+	return out
+}
 
-func (g *Gate) await() {
-	select {
-	case <-g.grant:
-	case <-g.ctl.released:
+// Bind installs the controller as mon's scheduling hook. Call once,
+// after NewController and before launching the run; the run starts when
+// the world spawns its last rank main.
+func (c *Controller) Bind(mon *monitor.Monitor) {
+	c.mu.Lock()
+	c.mon = mon
+	c.mu.Unlock()
+	mon.SetSched(c)
+}
+
+// Spawn binds fn, the body of a newly created simulated thread, to the
+// lowest gate that has none: rank mains bind to the pre-registered rank
+// gates, team workers to the gates their fork registered. The body runs
+// when the scheduler first picks the gate. Binding the last rank main
+// starts the run's driver.
+func (c *Controller) Spawn(fn func()) {
+	c.mu.Lock()
+	g := c.gates[c.bound]
+	c.bound++
+	c.running++
+	g.co = getCoro(fn)
+	start := c.bound == c.procs
+	c.mu.Unlock()
+	if start {
+		c.driving.Add(1)
+		// The driver stays off the caller's goroutine: the caller
+		// (World.Run) waits for the ranks, and a session can still
+		// abandon a run whose threads never drain.
+		pipeline.Spawn(c.drive)
+	}
+}
+
+// drive is the run's driver: it takes the first decision, then resumes
+// the picked thread's coroutine until the thread suspends or exits, and
+// repeats. Once the run aborts it resumes every remaining coroutine
+// until its body has exited (they cannot block: the monitor pre-signals
+// every waiter of an aborted run and the controller stops switching).
+func (c *Controller) drive() {
+	defer c.driving.Done()
+	c.mu.Lock()
+	if !c.isOff {
+		c.chooseLocked(-1)
+	}
+	c.mu.Unlock()
+	for {
+		c.mu.Lock()
+		off, id, running := c.isOff, c.holder, c.running
+		c.mu.Unlock()
+		if off {
+			break
+		}
+		if id < 0 {
+			if running == 0 {
+				return
+			}
+			// Threads are parked and none is runnable, yet the monitor
+			// saw no deadlock: a live thread outside the controller's
+			// view holds the run. Only an abort can move it on.
+			<-c.wake
+			continue
+		}
+		c.resume(c.gates[id])
+	}
+	// Unwinding threads may still fork (and so append gates): re-read
+	// the length on every iteration.
+	for i := 0; i < len(c.gates); i++ {
+		g := c.gates[i]
+		for g.co != nil {
+			c.resume(g)
+		}
+	}
+}
+
+// resume runs g's coroutine until it suspends or its body exits. An
+// exited body's coroutine goes back to the pool; a panic that escaped
+// the body aborts the run.
+func (c *Controller) resume(g *Gate) {
+	co := g.co
+	if !co.resume() {
+		return
+	}
+	g.co = nil
+	p, stack := co.panicked, co.stack
+	putCoro(co)
+	c.mu.Lock()
+	c.running--
+	mon := c.mon
+	c.mu.Unlock()
+	if p != nil && mon != nil {
+		mon.Abort(&ThreadPanic{Value: p, Stack: stack})
 	}
 }
 
 // Yield offers a context switch at a statement boundary on the given
-// source line. The calling thread must hold the token (it is the only
-// one running). If the scheduler picks another thread, the caller parks
-// until re-granted.
+// source line. The calling thread must be the running one. If the
+// scheduler picks another thread, the caller suspends until picked
+// again.
 func (g *Gate) Yield(line int) {
-	c := g.ctl
+	if g.ctl.yield(g, line) {
+		g.co.suspend()
+	}
+}
+
+// yield takes the statement-boundary decision and reports whether it
+// handed the run to another thread.
+func (c *Controller) yield(g *Gate, line int) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.isOff {
-		c.mu.Unlock()
-		return
+		return false
 	}
 	g.line = line
 	g.steps++
-	c.markDirtyLocked(g)
-	next := c.chooseLocked(g.id)
-	if next == g.id {
-		c.mu.Unlock()
-		return
+	if c.sigOn {
+		c.markDirtyLocked(g)
 	}
-	c.grantLocked(next)
-	c.mu.Unlock()
-	g.await()
+	return c.chooseLocked(g.id) != g.id
 }
 
 // enabledLocked returns the sorted runnable set in the controller's
@@ -424,10 +548,9 @@ func (c *Controller) sigLocked() uint64 {
 }
 
 // flushEventLocked closes the current event: the holder's buffered
-// accesses are appended to the trace. Every call site runs on the
-// holder's own goroutine (Yield, the park/exit hooks, and the abort all
-// execute on the thread itself), so reading g.acc here never races the
-// owner-side appends.
+// accesses are appended to the trace. Every call site runs while the
+// holder is the running thread (Yield, the park/exit hooks, and an abort
+// it raises), so reading g.acc here never races the owner-side appends.
 func (c *Controller) flushEventLocked() {
 	if c.holder < 0 {
 		return
@@ -440,9 +563,10 @@ func (c *Controller) flushEventLocked() {
 }
 
 // chooseLocked asks the scheduler to pick among the enabled threads
-// (which must include cur when cur yielded rather than parked). Invalid
-// picks fall back to the lowest enabled id so a buggy scheduler cannot
-// wedge the run.
+// (which must include cur when cur yielded rather than parked) and makes
+// the pick the holder, -1 when nothing is runnable. Invalid picks fall
+// back to the lowest enabled id so a buggy scheduler cannot wedge the
+// run.
 func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	if c.trace != nil {
 		c.flushEventLocked()
@@ -455,10 +579,9 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	ch := Choice{Enabled: enabled, Cur: cur, Seq: c.seq}
 	branch := -1
 	if len(enabled) > 1 {
-		// The signature only matters where a schedule can branch; the
-		// singleton fast path (one decision per executed statement in
-		// mostly-sequential phases) skips the hash entirely.
-		ch.Sig = c.sigLocked()
+		if c.sigOn {
+			ch.Sig = c.sigLocked()
+		}
 		branch = c.branchN
 		c.branchN++
 	}
@@ -484,29 +607,14 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	return id
 }
 
-func (c *Controller) grantLocked(id ThreadID) {
-	if id < 0 {
-		return
-	}
-	c.gates[id].grant <- struct{}{}
-}
-
-// pickLocked chooses and grants the next thread after the previous
-// holder stopped being runnable (cur == -1) or at run start.
-func (c *Controller) pickLocked(cur ThreadID) {
-	next := c.chooseLocked(cur)
-	if next >= 0 {
-		c.grantLocked(next)
-	}
-}
-
 //
-// Monitor hook implementation. All four Locked-suffixed semantics hold:
-// the monitor calls these with its own lock held.
+// Monitor hook implementation. The Locked-suffixed semantics hold for
+// HolderParked, WaiterWoken, HolderExited and ReleaseAll: the monitor
+// calls them with its own lock held.
 //
 
-// HolderParked records that the token holder blocked on w and hands the
-// token to the scheduler's next pick.
+// HolderParked records that the running thread blocked on w and picks
+// the next thread; the parked thread suspends in Park.
 func (c *Controller) HolderParked(w interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -516,13 +624,15 @@ func (c *Controller) HolderParked(w interface{}) {
 	g := c.gates[c.holder]
 	g.state = gateParked
 	c.readyRemoveLocked(g.id)
-	c.markDirtyLocked(g)
+	if c.sigOn {
+		c.markDirtyLocked(g)
+	}
 	c.owner[w] = g
-	c.pickLocked(-1)
+	c.chooseLocked(-1)
 }
 
-// WaiterWoken marks w's thread runnable again. The waker keeps the
-// token; the woken thread re-acquires it in Resume.
+// WaiterWoken marks w's thread runnable again. The waker keeps running;
+// the woken thread continues once the scheduler picks it.
 func (c *Controller) WaiterWoken(w interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -530,27 +640,31 @@ func (c *Controller) WaiterWoken(w interface{}) {
 	if g == nil || c.isOff {
 		return
 	}
+	delete(c.owner, w)
 	g.state = gateReady
 	c.readyAddLocked(g.id)
-	c.markDirtyLocked(g)
+	if c.sigOn {
+		c.markDirtyLocked(g)
+	}
 }
 
-// Resume blocks the woken thread (just returned from its monitor wait)
-// until the scheduler grants it the token again. Called without locks.
-func (c *Controller) Resume(w interface{}) {
+// Park suspends the thread that just parked on w (it called
+// HolderParked and released the monitor lock). It returns once the
+// driver resumes the thread: after the scheduler picked it again, or
+// after the run aborted.
+func (c *Controller) Park(w interface{}) {
 	c.mu.Lock()
 	g := c.owner[w]
-	delete(c.owner, w)
 	off := c.isOff
 	c.mu.Unlock()
 	if g == nil || off {
 		return
 	}
-	g.await()
+	g.co.suspend()
 }
 
-// HolderExited records that the token holder's goroutine is done (its
-// last monitor interaction) and schedules the next thread.
+// HolderExited records that the running thread is done (its last
+// monitor interaction) and picks the next thread.
 func (c *Controller) HolderExited() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -560,13 +674,15 @@ func (c *Controller) HolderExited() {
 	g := c.gates[c.holder]
 	g.state = gateDone
 	c.readyRemoveLocked(g.id)
-	c.markDirtyLocked(g)
-	c.pickLocked(-1)
+	if c.sigOn {
+		c.markDirtyLocked(g)
+	}
+	c.chooseLocked(-1)
 }
 
-// ReleaseAll switches to free-running mode: the run aborted, every
-// parked-on-the-token goroutine is released and all future scheduling
-// calls become no-ops, so abort unwinding never waits on the scheduler.
+// ReleaseAll switches the run to unwinding: it aborted, so every later
+// scheduling call is a no-op and the driver resumes each remaining
+// thread until it exits.
 func (c *Controller) ReleaseAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -574,15 +690,17 @@ func (c *Controller) ReleaseAll() {
 		return
 	}
 	if c.trace != nil {
-		// The aborting thread is the holder (only the token holder runs)
-		// and this call is on its goroutine, so its final accesses — e.g.
-		// the MPI call that completed a deadlock — flush safely here.
+		// An abort raised by the running thread flushes its final
+		// accesses — e.g. the MPI call that completed a deadlock — here.
 		// Post-abort straggler accesses stay in their gate buffers and
 		// are dropped at recycle.
 		c.flushEventLocked()
 	}
 	c.isOff = true
-	close(c.released)
+	select { // rouse a driver waiting with nothing runnable
+	case c.wake <- struct{}{}:
+	default:
+	}
 }
 
 //
@@ -733,7 +851,8 @@ func (s *Replay) Diverged() bool { return s.diverged || s.pos < len(s.Trace) }
 // Branch is one observed decision point where the schedule genuinely
 // branched (more than one thread enabled).
 type Branch struct {
-	// Sig is the positional state signature at the decision.
+	// Sig is the positional state signature at the decision (0 unless
+	// the Recorder asked for Signatures).
 	Sig uint64
 	// Enabled is the sorted runnable set.
 	Enabled []ThreadID
@@ -747,6 +866,10 @@ type Branch struct {
 // untaken alternatives.
 type Recorder struct {
 	Prefix []ThreadID
+	// Signatures asks the controller for the positional signature at
+	// every branch point (Branch.Sig); only state-hash pruning reads it,
+	// so it is off unless the exploration prunes.
+	Signatures bool
 
 	Branches []Branch
 	diverged bool
@@ -766,6 +889,9 @@ func (s *Recorder) Reset(prefix []ThreadID) {
 	s.enabledBuf = s.enabledBuf[:0]
 	s.diverged = false
 }
+
+// ReadsSig implements SigReader.
+func (s *Recorder) ReadsSig() bool { return s.Signatures }
 
 // Next follows the prefix, records the branch, and defaults to the
 // lowest enabled thread beyond the prefix.

@@ -207,3 +207,37 @@ func TestStatsSurfacesRobustness(t *testing.T) {
 		}
 	}
 }
+
+// TestRunThreadPanicAnswersInternalError: a panic inside a simulated
+// thread's body is quarantined at the thread, not left to kill the
+// daemon: /run answers with outcome internal-error naming the boundary,
+// and the next request is served normally — free-running and
+// serialized alike.
+func TestRunThreadPanicAnswersInternalError(t *testing.T) {
+	leakcheck.Check(t) // snapshot now, diff at cleanup
+	_, ts := newTestServer(t, Config{})
+	for _, schedule := range []string{"", "rr"} {
+		disarm := chaos.Arm(chaos.Config{
+			"interp.thread": {First: 1, Action: chaos.ActPanic},
+		})
+		code, raw := postJSON(t, ts.URL+"/run", map[string]any{
+			"name": "clean.mh", "source": cleanSrc, "schedule": schedule,
+		})
+		disarm()
+		if code != http.StatusOK {
+			t.Fatalf("schedule %q: panicking run answered %d: %s", schedule, code, raw)
+		}
+		res := decode[runResponse](t, raw)
+		if res.Outcome != "internal-error" || !strings.Contains(res.Error, "panic quarantined at interp.thread") {
+			t.Fatalf("schedule %q: panicking run answered outcome %q error %q, want a quarantined internal-error",
+				schedule, res.Outcome, res.Error)
+		}
+
+		code, raw = postJSON(t, ts.URL+"/run", map[string]any{
+			"name": "clean.mh", "source": cleanSrc, "schedule": schedule,
+		})
+		if code != http.StatusOK || decode[runResponse](t, raw).Outcome != "clean" {
+			t.Fatalf("schedule %q: post-panic run answered %d: %s", schedule, code, raw)
+		}
+	}
+}
