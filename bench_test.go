@@ -23,6 +23,7 @@ import (
 	"parcoach/internal/mhgen"
 	"parcoach/internal/omp"
 	"parcoach/internal/parser"
+	"parcoach/internal/sched"
 	"parcoach/internal/workload"
 )
 
@@ -332,4 +333,36 @@ func BenchmarkExploreDPORReduction(b *testing.B) {
 	b.ReportMetric(float64(dfs), "dfs-schedules-to-exhaustion")
 	b.ReportMetric(float64(dpor), "dpor-schedules-to-exhaustion")
 	b.ReportMetric(float64(dfs)/float64(dpor), "reduction-x")
+}
+
+// BenchmarkSerializedFigure1 replays seeded random schedules of the
+// Figure 1 set (ScaleA, 2 ranks × 2 threads) — the serialized hot path
+// of scheduler decisions and thread handoffs. It reports the
+// machine-independent work per replay (decisions, switches) next to the
+// wall-clock cost per switch.
+func BenchmarkSerializedFigure1(b *testing.B) {
+	var progs []*parcoach.Program
+	for _, w := range workload.Figure1Set(workload.ScaleA) {
+		p, err := parcoach.Compile(w.Name+".mh", w.Source, parcoach.Options{Mode: parcoach.ModeFull, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	var decisions, switches int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := progs[i%len(progs)]
+		res := p.Run(parcoach.RunOptions{Procs: 2, Threads: 2, Scheduler: sched.NewRandom(int64(i))})
+		if res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		decisions += res.Stats.Decisions
+		switches += res.Stats.Switches
+	}
+	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
+	b.ReportMetric(float64(switches)/float64(b.N), "switches/op")
+	if switches > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(switches), "ns/switch")
+	}
 }

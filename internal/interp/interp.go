@@ -201,7 +201,8 @@ func scalar(i int64) value { return value{i: i} }
 // process share cells by design — including deliberately racy benchmark
 // programs — so the interpreter must stay free of *Go* data races while
 // letting simulated races keep their relaxed semantics: scalar cells are
-// guarded by the cell lock, and array elements are always accessed with
+// guarded by the cell lock (free-running threads; see thctx.load), and
+// array elements are always accessed with
 // atomic loads/stores (the array header itself is immutable once
 // declared — whole-array assignment is rejected — so the aliasing that
 // gives MiniHybrid its by-reference arrays stays intact).
@@ -218,15 +219,25 @@ type cell struct {
 }
 
 // load returns the cell's value (the array payload stays aliased).
-func (cl *cell) load() value {
+// Serialized threads (gate != nil) skip the cell lock: only one
+// simulated thread runs at a time, and every handoff between them is a
+// coroutine switch, which already orders their accesses.
+func (c *thctx) load(cl *cell) value {
+	if c.gate != nil {
+		return cl.v
+	}
 	cl.mu.Lock()
 	v := cl.v
 	cl.mu.Unlock()
 	return v
 }
 
-// store overwrites the cell's value.
-func (cl *cell) store(v value) {
+// store overwrites the cell's value (locking as load does).
+func (c *thctx) store(cl *cell, v value) {
+	if c.gate != nil {
+		cl.v = v
+		return
+	}
 	cl.mu.Lock()
 	cl.v = v
 	cl.mu.Unlock()
@@ -412,7 +423,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		c.declare(loopEnv, s.Var, scalar(from))
 		cellVar := loopEnv.lookup(s.Var)
 		for i := from; i < to; i++ {
-			cellVar.store(scalar(i))
+			c.store(cellVar, scalar(i))
 			returned, ret, err := c.execBlock(s.Body, loopEnv)
 			if err != nil || returned {
 				if err == nil {
@@ -646,7 +657,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			if !ok {
 				break
 			}
-			cellVar.store(scalar(i))
+			c.store(cellVar, scalar(i))
 			if _, _, err := c.execBlock(s.Body, loopEnv); err != nil {
 				return false, 0, err
 			}
@@ -742,13 +753,20 @@ func (c *thctx) assign(lv ast.LValue, op ast.AssignOp, v int64, e *env) error {
 		if c.trace {
 			c.tagWrite(cellObj(cl))
 		}
-		cl.mu.Lock()
-		if cl.v.arr != nil {
+		locked := c.gate == nil // see thctx.load
+		if locked {
+			cl.mu.Lock()
+		}
+		isArr := cl.v.arr != nil
+		if !isArr {
+			cl.v = scalar(apply(cl.v.i))
+		}
+		if locked {
 			cl.mu.Unlock()
+		}
+		if isArr {
 			return c.errf(lv.NamePos, "array %q used as a scalar", lv.Name)
 		}
-		cl.v = scalar(apply(cl.v.i))
-		cl.mu.Unlock()
 		return nil
 	case *ast.IndexExpr:
 		cl := e.lookup(lv.Name)
@@ -759,7 +777,7 @@ func (c *thctx) assign(lv ast.LValue, op ast.AssignOp, v int64, e *env) error {
 		if err != nil {
 			return err
 		}
-		v := cl.load()
+		v := c.load(cl)
 		if v.arr == nil {
 			return c.errf(lv.NamePos, "scalar %q indexed like an array", lv.Name)
 		}
@@ -807,7 +825,7 @@ func (c *thctx) evalExpr(ex ast.Expr, e *env) (value, error) {
 		if c.trace {
 			c.tagRead(cellObj(cl))
 		}
-		return cl.load(), nil
+		return c.load(cl), nil
 	case *ast.IndexExpr:
 		cl := e.lookup(ex.Name)
 		if cl == nil {
@@ -817,7 +835,7 @@ func (c *thctx) evalExpr(ex ast.Expr, e *env) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		v := cl.load()
+		v := c.load(cl)
 		if v.arr == nil {
 			return value{}, c.errf(ex.NamePos, "scalar %q indexed like an array", ex.Name)
 		}
@@ -1207,7 +1225,7 @@ func (c *thctx) storeVector(lv ast.LValue, vec []int64, e *env) error {
 	if cl == nil {
 		return c.errf(ref.NamePos, "undefined variable %q", ref.Name)
 	}
-	v := cl.load()
+	v := c.load(cl)
 	if v.arr == nil {
 		return c.errf(ref.NamePos, "vector destination %q must be an array", ref.Name)
 	}

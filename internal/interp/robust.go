@@ -6,7 +6,9 @@
 // everything, and flips the abort flag that every statement boundary
 // polls — so once a guard fires, a serialized run stops within one
 // statement and a free-running one at each thread's next boundary or
-// blocking transition. RunCtx arms a guard from a context
+// blocking transition. A serialized run is aborted through its
+// controller (Controller.Interrupt), which raises the abort from inside
+// the run. RunCtx arms a guard from a context
 // (context.AfterFunc) and Options.WallTimeout arms one from a timer;
 // both go through the same mutex-disciplined runGuard so a late firing
 // can never abort the *next* run on a recycled environment.
@@ -19,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"parcoach/internal/monitor"
 )
 
 // CancelError reports that a run was stopped by external cancellation
@@ -107,8 +107,11 @@ func WatchdogRuns() int64 { return watchdogRuns.Load() }
 // monitor, and a callback that lost the race to disarm sees done and
 // leaves.
 type runGuard struct {
-	mu       sync.Mutex
-	mon      *monitor.Monitor
+	mu sync.Mutex
+	// abort fails the run: the monitor's Abort for free-running runs,
+	// the controller's Interrupt for serialized ones (whose state only
+	// the run's own thread of control may touch).
+	abort    func(error)
 	done     bool
 	canceled bool
 	timedOut bool
@@ -120,13 +123,13 @@ type runGuard struct {
 // armGuard installs the run's external-abort triggers; nil when neither
 // a cancelable context nor a wall timeout is configured (the zero-cost
 // hot path of plain Run).
-func (s *Session) armGuard(ctx context.Context, mon *monitor.Monitor) *runGuard {
+func (s *Session) armGuard(ctx context.Context, abort func(error)) *runGuard {
 	hasCtx := ctx != nil && ctx.Done() != nil
 	wall := s.opts.WallTimeout
 	if !hasCtx && wall <= 0 {
 		return nil
 	}
-	g := &runGuard{mon: mon}
+	g := &runGuard{abort: abort}
 	if hasCtx {
 		g.stopCtx = context.AfterFunc(ctx, func() {
 			g.fire(true, &CancelError{Cause: context.Cause(ctx)})
@@ -154,7 +157,7 @@ func (g *runGuard) fire(isCancel bool, err error) {
 	}
 	// First error wins inside the monitor: a run that already failed on
 	// its own keeps its error; the abort still wakes any stragglers.
-	g.mon.Abort(err)
+	g.abort(err)
 }
 
 // disarm stops both triggers and waits out any in-flight firing. After

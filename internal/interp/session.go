@@ -191,7 +191,11 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 	if testWedge != nil {
 		testWedge(world)
 	}
-	guard := s.armGuard(ctx, world.Monitor())
+	abort := world.Monitor().Abort
+	if r.ctl != nil {
+		abort = r.ctl.Interrupt
+	}
+	guard := s.armGuard(ctx, abort)
 	ranks := make([]*rankState, opts.Procs)
 	err := world.Run(func(p *mpi.Proc) (err error) {
 		defer quarantineThread(&err)
@@ -311,9 +315,8 @@ func (s *Session) abandon(res *Result, r *runner) *Result {
 		Steps:       atomic.LoadInt64(&r.steps),
 	}
 	res.Stats.CCChecks, res.Stats.PhaseChecks, res.Stats.ValueChecks = r.ver.Stats()
-	if r.ctl != nil {
-		res.Stats.Decisions, res.Stats.Switches = r.ctl.Counts()
-	}
+	// Decisions and Switches stay 0: the controller's counters belong to
+	// the undrained run.
 	return res
 }
 

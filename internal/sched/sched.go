@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"parcoach/internal/monitor"
 	"parcoach/internal/pipeline"
@@ -48,9 +49,9 @@ type ThreadID int
 // and the context the scheduler may use to pick among them.
 type Choice struct {
 	// Enabled is the sorted, non-empty set of runnable threads. It is
-	// only valid for the duration of the Next call (the controller
-	// reuses its backing array); schedulers that retain it must copy,
-	// as the DFS Recorder does.
+	// the controller's live ready list, valid only for the duration of
+	// the Next call: schedulers must not modify it, and those that
+	// retain it must copy, as the DFS Recorder does.
 	Enabled []ThreadID
 	// Cur is the thread that just yielded, or -1 when the previous
 	// holder parked or exited (it is then absent from Enabled).
@@ -160,11 +161,16 @@ func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 }
 
 // Controller serializes one run. It implements the monitor's scheduler
-// hook interface; hook methods called with the monitor lock held only
-// ever take the controller lock inside (lock order: monitor → ctl). No
-// lock is held across a coroutine switch.
+// hook interface.
+//
+// The controller has no lock: every call into it — decisions, hooks,
+// forks, spawns — comes from the run's single logical thread of control
+// (the simulated thread being resumed, or the driver between resumes),
+// and each coroutine switch orders one step of that thread before the
+// next. The only entry from outside the run is Interrupt, an atomic
+// request the running thread or the driver acts on. The session reads
+// Counts and calls Recycle only after the run drained.
 type Controller struct {
-	mu    sync.Mutex
 	sched Scheduler
 	mon   *monitor.Monitor
 	gates []*Gate
@@ -177,6 +183,9 @@ type Controller struct {
 	switches int64
 	isOff    bool
 	owner    map[interface{}]*Gate // monitor waiter → parked gate
+	// intr holds the abort error Interrupt requested from outside the
+	// run, nil when none is pending.
+	intr atomic.Pointer[error]
 
 	// ready is the sorted id set of runnable gates, maintained
 	// incrementally on every state transition. Decisions are then
@@ -186,8 +195,6 @@ type Controller struct {
 	// runs quadratic (the step-limit abort of a reduced looping program
 	// would take hours instead of seconds).
 	ready []ThreadID
-
-	enabledScratch []ThreadID
 
 	// Incremental positional-state signature, maintained only when the
 	// scheduler reads it (sigOn): xsig is the XOR of every gate's cached
@@ -250,6 +257,7 @@ func NewController(s Scheduler, procs int) *Controller {
 	case <-c.wake:
 	default:
 	}
+	c.intr.Store(nil)
 	c.procs, c.bound, c.running = procs, 0, 0
 	c.sigOn = false
 	if sr, ok := s.(SigReader); ok {
@@ -328,7 +336,6 @@ func (c *Controller) readyRemoveLocked(id ThreadID) {
 // aborted runs alike recycle here.
 func (c *Controller) Recycle() {
 	c.driving.Wait()
-	c.mu.Lock()
 	c.freeGates = append(c.freeGates, c.gates...)
 	c.gates = c.gates[:0]
 	c.sched = nil
@@ -338,25 +345,20 @@ func (c *Controller) Recycle() {
 	c.ready = c.ready[:0]
 	c.xsig = 0
 	c.trace = nil
-	c.mu.Unlock()
 	ctlPool.Put(c)
 }
 
 // Counts reports the run's scheduling work: decisions taken (one per
 // Scheduler.Next call) and switches (decisions whose pick is not the
 // thread that just yielded). Both are pure functions of the schedule,
-// so they are machine-independent.
+// so they are machine-independent. Call once the run has drained.
 func (c *Controller) Counts() (decisions, switches int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.seq, c.switches
 }
 
 // ProcGate returns the pre-registered gate of the given rank's main
 // thread.
 func (c *Controller) ProcGate(rank int) *Gate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.gates[rank]
 }
 
@@ -365,8 +367,6 @@ func (c *Controller) ProcGate(rank int) *Gate {
 // gates are enabled immediately; the runtime's next n Spawn calls bind
 // the workers' bodies to them, in order.
 func (c *Controller) Fork(n int) []*Gate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]*Gate, n)
 	for i := range out {
 		out[i] = c.newGateLocked()
@@ -378,10 +378,33 @@ func (c *Controller) Fork(n int) []*Gate {
 // after NewController and before launching the run; the run starts when
 // the world spawns its last rank main.
 func (c *Controller) Bind(mon *monitor.Monitor) {
-	c.mu.Lock()
 	c.mon = mon
-	c.mu.Unlock()
 	mon.SetSched(c)
+}
+
+// Interrupt aborts the run with err from outside it (a canceled context,
+// a watchdog). Aborting the monitor directly from another goroutine
+// would race the running thread on the controller's state, so the
+// request is only recorded: the running thread acts on it at its next
+// statement boundary, or the driver at its next resume, or at once if
+// the driver has nothing runnable. The first interrupt wins.
+func (c *Controller) Interrupt(err error) {
+	c.intr.CompareAndSwap(nil, &err)
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// interrupted reports whether an interrupt is pending and, if so, aborts
+// the run with it. Call only from the run's thread of control.
+func (c *Controller) interrupted() bool {
+	p := c.intr.Load()
+	if p == nil {
+		return false
+	}
+	c.mon.Abort(*p)
+	return true
 }
 
 // Spawn binds fn, the body of a newly created simulated thread, to the
@@ -390,14 +413,11 @@ func (c *Controller) Bind(mon *monitor.Monitor) {
 // when the scheduler first picks the gate. Binding the last rank main
 // starts the run's driver.
 func (c *Controller) Spawn(fn func()) {
-	c.mu.Lock()
 	g := c.gates[c.bound]
 	c.bound++
 	c.running++
 	g.co = getCoro(fn)
-	start := c.bound == c.procs
-	c.mu.Unlock()
-	if start {
+	if c.bound == c.procs {
 		c.driving.Add(1)
 		// The driver stays off the caller's goroutine: the caller
 		// (World.Run) waits for the ranks, and a session can still
@@ -413,29 +433,19 @@ func (c *Controller) Spawn(fn func()) {
 // every waiter of an aborted run and the controller stops switching).
 func (c *Controller) drive() {
 	defer c.driving.Done()
-	c.mu.Lock()
-	if !c.isOff {
-		c.chooseLocked(-1)
-	}
-	c.mu.Unlock()
-	for {
-		c.mu.Lock()
-		off, id, running := c.isOff, c.holder, c.running
-		c.mu.Unlock()
-		if off {
-			break
-		}
-		if id < 0 {
-			if running == 0 {
+	c.chooseLocked(-1)
+	for !c.isOff && !c.interrupted() {
+		if c.holder < 0 {
+			if c.running == 0 {
 				return
 			}
 			// Threads are parked and none is runnable, yet the monitor
 			// saw no deadlock: a live thread outside the controller's
-			// view holds the run. Only an abort can move it on.
+			// view holds the run. Only an interrupt can move it on.
 			<-c.wake
 			continue
 		}
-		c.resume(c.gates[id])
+		c.resume(c.gates[c.holder])
 	}
 	// Unwinding threads may still fork (and so append gates): re-read
 	// the length on every iteration.
@@ -456,14 +466,11 @@ func (c *Controller) resume(g *Gate) {
 		return
 	}
 	g.co = nil
+	c.running--
 	p, stack := co.panicked, co.stack
 	putCoro(co)
-	c.mu.Lock()
-	c.running--
-	mon := c.mon
-	c.mu.Unlock()
-	if p != nil && mon != nil {
-		mon.Abort(&ThreadPanic{Value: p, Stack: stack})
+	if p != nil {
+		c.mon.Abort(&ThreadPanic{Value: p, Stack: stack})
 	}
 }
 
@@ -478,11 +485,11 @@ func (g *Gate) Yield(line int) {
 }
 
 // yield takes the statement-boundary decision and reports whether it
-// handed the run to another thread.
+// handed the run to another thread. A pending interrupt aborts the run
+// here instead, so the caller's abort check stops it within one
+// statement.
 func (c *Controller) yield(g *Gate, line int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.isOff {
+	if c.isOff || c.interrupted() {
 		return false
 	}
 	g.line = line
@@ -491,18 +498,6 @@ func (c *Controller) yield(g *Gate, line int) bool {
 		c.markDirtyLocked(g)
 	}
 	return c.chooseLocked(g.id) != g.id
-}
-
-// enabledLocked returns the sorted runnable set in the controller's
-// scratch slice — one scheduling decision per statement makes this the
-// hottest allocation site, so the backing array is reused; Next
-// implementations must not retain it. The set is a copy of the
-// incrementally maintained ready list, so the cost is O(enabled), not
-// O(every gate ever forked).
-func (c *Controller) enabledLocked() []ThreadID {
-	out := append(c.enabledScratch[:0], c.ready...)
-	c.enabledScratch = out
-	return out
 }
 
 // contribution hashes the gate's position — (id, liveness, last line,
@@ -571,7 +566,10 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	if c.trace != nil {
 		c.flushEventLocked()
 	}
-	enabled := c.enabledLocked()
+	// The ready list itself is the enabled set: Next implementations
+	// must neither retain nor modify it, and nothing changes it during
+	// the call, so no per-decision copy is needed.
+	enabled := c.ready
 	if len(enabled) == 0 {
 		c.holder = -1
 		return -1
@@ -616,8 +614,6 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 // HolderParked records that the running thread blocked on w and picks
 // the next thread; the parked thread suspends in Park.
 func (c *Controller) HolderParked(w interface{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.isOff || c.holder < 0 {
 		return
 	}
@@ -634,8 +630,6 @@ func (c *Controller) HolderParked(w interface{}) {
 // WaiterWoken marks w's thread runnable again. The waker keeps running;
 // the woken thread continues once the scheduler picks it.
 func (c *Controller) WaiterWoken(w interface{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	g := c.owner[w]
 	if g == nil || c.isOff {
 		return
@@ -653,11 +647,8 @@ func (c *Controller) WaiterWoken(w interface{}) {
 // driver resumes the thread: after the scheduler picked it again, or
 // after the run aborted.
 func (c *Controller) Park(w interface{}) {
-	c.mu.Lock()
 	g := c.owner[w]
-	off := c.isOff
-	c.mu.Unlock()
-	if g == nil || off {
+	if g == nil || c.isOff {
 		return
 	}
 	g.co.suspend()
@@ -666,8 +657,6 @@ func (c *Controller) Park(w interface{}) {
 // HolderExited records that the running thread is done (its last
 // monitor interaction) and picks the next thread.
 func (c *Controller) HolderExited() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.isOff || c.holder < 0 {
 		return
 	}
@@ -684,23 +673,18 @@ func (c *Controller) HolderExited() {
 // scheduling call is a no-op and the driver resumes each remaining
 // thread until it exits.
 func (c *Controller) ReleaseAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.isOff {
 		return
 	}
 	if c.trace != nil {
-		// An abort raised by the running thread flushes its final
-		// accesses — e.g. the MPI call that completed a deadlock — here.
-		// Post-abort straggler accesses stay in their gate buffers and
-		// are dropped at recycle.
+		// The running thread raised the abort (outside aborts arrive
+		// through Interrupt and are raised by the thread or the driver),
+		// so its final accesses — e.g. the MPI call that completed a
+		// deadlock — flush here. Post-abort straggler accesses stay in
+		// their gate buffers and are dropped at recycle.
 		c.flushEventLocked()
 	}
 	c.isOff = true
-	select { // rouse a driver waiting with nothing runnable
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 //
