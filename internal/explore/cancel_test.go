@@ -29,7 +29,7 @@ var explorePaths = []struct {
 // report: Canceled set, fewer schedules than the budget, and the
 // rendered report carrying the marker.
 func TestExploreCancelPartialReport(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	for _, path := range explorePaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestExploreCancelPartialReport(t *testing.T) {
 // starts yields an empty well-formed report instead of one refused run
 // per budgeted schedule.
 func TestExploreAlreadyCanceled(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -79,7 +79,7 @@ func TestExploreAlreadyCanceled(t *testing.T) {
 // run boundary, classified internal-error, counted in Quarantined, and
 // the exploration finishes its remaining budget — on every engine path.
 func TestExploreQuarantinesPanickingRun(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	for _, path := range explorePaths {
 		t.Run(path.name, func(t *testing.T) {

@@ -28,6 +28,17 @@ func main() {
 // and leave the session fully usable (fresh state, nothing recycled
 // from the wedged run).
 func TestSessionAbandonsWedgedRun(t *testing.T) {
+	// Free-running and serialized alike: the serialized driver runs off
+	// the caller's goroutine, so the bounded wait still applies.
+	for _, mk := range []func() sched.Scheduler{
+		func() sched.Scheduler { return nil },
+		func() sched.Scheduler { return sched.NewRandom(1) },
+	} {
+		testSessionAbandonsWedgedRun(t, mk())
+	}
+}
+
+func testSessionAbandonsWedgedRun(t *testing.T, s sched.Scheduler) {
 	prog := parser.MustParse("wedge.mh", sessionSrc)
 	sess := NewSession(prog, Options{Procs: 2, Threads: 2, DrainTimeout: 100 * time.Millisecond})
 
@@ -35,7 +46,7 @@ func TestSessionAbandonsWedgedRun(t *testing.T) {
 	defer func() { testWedge = nil }()
 
 	done := make(chan *Result, 1)
-	go func() { done <- sess.Run(nil) }()
+	go func() { done <- sess.Run(s) }()
 	var res *Result
 	select {
 	case res = <-done:

@@ -199,7 +199,7 @@ type Controller struct {
 	// Incremental positional-state signature, maintained only when the
 	// scheduler reads it (sigOn): xsig is the XOR of every gate's cached
 	// per-gate FNV contribution. Gates whose position changed since
-	// their contribution was computed sit on the dirty list; sigLocked
+	// their contribution was computed sit on the dirty list; signature
 	// folds them in lazily, so long single-threaded stretches (one dirty
 	// gate, many statements) never pay a whole-gate-set rehash and
 	// nothing on the per-statement path allocates.
@@ -208,7 +208,7 @@ type Controller struct {
 	dirty []*Gate
 
 	// trace, when non-nil, is the run's event trace (the scheduler
-	// implements TraceSource): chooseLocked closes the previous event by
+	// implements TraceSource): choose closes the previous event by
 	// flushing the holder's access buffer and opens one for its pick.
 	// branchN counts multi-enabled decisions, aligning Event.Branch with
 	// the Recorder's branch-point indices.
@@ -272,12 +272,12 @@ func NewController(s Scheduler, procs int) *Controller {
 		c.trace = ts.EventTrace()
 	}
 	for i := 0; i < procs; i++ {
-		c.newGateLocked()
+		c.newGate()
 	}
 	return c
 }
 
-func (c *Controller) newGateLocked() *Gate {
+func (c *Controller) newGate() *Gate {
 	var g *Gate
 	if n := len(c.freeGates); n > 0 {
 		g = c.freeGates[n-1]
@@ -299,14 +299,14 @@ func (c *Controller) newGateLocked() *Gate {
 		c.xsig ^= g.sig
 	}
 	c.gates = append(c.gates, g)
-	c.readyAddLocked(g.id)
+	c.readyAdd(g.id)
 	return g
 }
 
-// readyAddLocked inserts id into the sorted ready set. Freshly forked
+// readyAdd inserts id into the sorted ready set. Freshly forked
 // gates carry the highest id so far, so forks take the append fast
 // path; only wakes of low-id threads pay the insertion walk.
-func (c *Controller) readyAddLocked(id ThreadID) {
+func (c *Controller) readyAdd(id ThreadID) {
 	n := len(c.ready)
 	if n == 0 || c.ready[n-1] < id {
 		c.ready = append(c.ready, id)
@@ -321,8 +321,8 @@ func (c *Controller) readyAddLocked(id ThreadID) {
 	c.ready[i] = id
 }
 
-// readyRemoveLocked deletes id from the sorted ready set.
-func (c *Controller) readyRemoveLocked(id ThreadID) {
+// readyRemove deletes id from the sorted ready set.
+func (c *Controller) readyRemove(id ThreadID) {
 	i := sort.Search(len(c.ready), func(k int) bool { return c.ready[k] >= id })
 	if i < len(c.ready) && c.ready[i] == id {
 		c.ready = append(c.ready[:i], c.ready[i+1:]...)
@@ -369,7 +369,7 @@ func (c *Controller) ProcGate(rank int) *Gate {
 func (c *Controller) Fork(n int) []*Gate {
 	out := make([]*Gate, n)
 	for i := range out {
-		out[i] = c.newGateLocked()
+		out[i] = c.newGate()
 	}
 	return out
 }
@@ -433,7 +433,7 @@ func (c *Controller) Spawn(fn func()) {
 // every waiter of an aborted run and the controller stops switching).
 func (c *Controller) drive() {
 	defer c.driving.Done()
-	c.chooseLocked(-1)
+	c.choose(-1)
 	for !c.isOff && !c.interrupted() {
 		if c.holder < 0 {
 			if c.running == 0 {
@@ -495,9 +495,9 @@ func (c *Controller) yield(g *Gate, line int) bool {
 	g.line = line
 	g.steps++
 	if c.sigOn {
-		c.markDirtyLocked(g)
+		c.markDirty(g)
 	}
-	return c.chooseLocked(g.id) != g.id
+	return c.choose(g.id) != g.id
 }
 
 // contribution hashes the gate's position — (id, liveness, last line,
@@ -519,17 +519,17 @@ func (g *Gate) contribution() uint64 {
 	return h
 }
 
-// markDirtyLocked queues the gate for a lazy signature update.
-func (c *Controller) markDirtyLocked(g *Gate) {
+// markDirty queues the gate for a lazy signature update.
+func (c *Controller) markDirty(g *Gate) {
 	if !g.dirty {
 		g.dirty = true
 		c.dirty = append(c.dirty, g)
 	}
 }
 
-// sigLocked returns the incremental positional signature, folding in
+// signature returns the incremental positional signature, folding in
 // the gates whose position changed since the last decision point.
-func (c *Controller) sigLocked() uint64 {
+func (c *Controller) signature() uint64 {
 	if len(c.dirty) > 0 {
 		for _, g := range c.dirty {
 			c.xsig ^= g.sig
@@ -542,11 +542,11 @@ func (c *Controller) sigLocked() uint64 {
 	return c.xsig
 }
 
-// flushEventLocked closes the current event: the holder's buffered
+// flushEvent closes the current event: the holder's buffered
 // accesses are appended to the trace. Every call site runs while the
 // holder is the running thread (Yield, the park/exit hooks, and an abort
 // it raises), so reading g.acc here never races the owner-side appends.
-func (c *Controller) flushEventLocked() {
+func (c *Controller) flushEvent() {
 	if c.holder < 0 {
 		return
 	}
@@ -557,14 +557,14 @@ func (c *Controller) flushEventLocked() {
 	}
 }
 
-// chooseLocked asks the scheduler to pick among the enabled threads
+// choose asks the scheduler to pick among the enabled threads
 // (which must include cur when cur yielded rather than parked) and makes
 // the pick the holder, -1 when nothing is runnable. Invalid picks fall
 // back to the lowest enabled id so a buggy scheduler cannot wedge the
 // run.
-func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
+func (c *Controller) choose(cur ThreadID) ThreadID {
 	if c.trace != nil {
-		c.flushEventLocked()
+		c.flushEvent()
 	}
 	// The ready list itself is the enabled set: Next implementations
 	// must neither retain nor modify it, and nothing changes it during
@@ -578,7 +578,7 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	branch := -1
 	if len(enabled) > 1 {
 		if c.sigOn {
-			ch.Sig = c.sigLocked()
+			ch.Sig = c.signature()
 		}
 		branch = c.branchN
 		c.branchN++
@@ -606,9 +606,9 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 }
 
 //
-// Monitor hook implementation. The Locked-suffixed semantics hold for
-// HolderParked, WaiterWoken, HolderExited and ReleaseAll: the monitor
-// calls them with its own lock held.
+// Monitor hook implementation. The monitor calls HolderParked,
+// WaiterWoken, HolderExited and ReleaseAll with its own lock held; Spawn
+// and Park without it.
 //
 
 // HolderParked records that the running thread blocked on w and picks
@@ -619,12 +619,12 @@ func (c *Controller) HolderParked(w interface{}) {
 	}
 	g := c.gates[c.holder]
 	g.state = gateParked
-	c.readyRemoveLocked(g.id)
+	c.readyRemove(g.id)
 	if c.sigOn {
-		c.markDirtyLocked(g)
+		c.markDirty(g)
 	}
 	c.owner[w] = g
-	c.chooseLocked(-1)
+	c.choose(-1)
 }
 
 // WaiterWoken marks w's thread runnable again. The waker keeps running;
@@ -636,9 +636,9 @@ func (c *Controller) WaiterWoken(w interface{}) {
 	}
 	delete(c.owner, w)
 	g.state = gateReady
-	c.readyAddLocked(g.id)
+	c.readyAdd(g.id)
 	if c.sigOn {
-		c.markDirtyLocked(g)
+		c.markDirty(g)
 	}
 }
 
@@ -662,11 +662,11 @@ func (c *Controller) HolderExited() {
 	}
 	g := c.gates[c.holder]
 	g.state = gateDone
-	c.readyRemoveLocked(g.id)
+	c.readyRemove(g.id)
 	if c.sigOn {
-		c.markDirtyLocked(g)
+		c.markDirty(g)
 	}
-	c.chooseLocked(-1)
+	c.choose(-1)
 }
 
 // ReleaseAll switches the run to unwinding: it aborted, so every later
@@ -682,7 +682,7 @@ func (c *Controller) ReleaseAll() {
 		// so its final accesses — e.g. the MPI call that completed a
 		// deadlock — flush here. Post-abort straggler accesses stay in
 		// their gate buffers and are dropped at recycle.
-		c.flushEventLocked()
+		c.flushEvent()
 	}
 	c.isOff = true
 }

@@ -47,7 +47,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // mid-run gets its run aborted within a bounded interval — the slot
 // frees, the counters move, and the daemon serves the next request.
 func TestRunClientDisconnectCancelsRun(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{})
 	before := s.Snapshot()
 
@@ -90,7 +90,7 @@ func TestRunClientDisconnectCancelsRun(t *testing.T) {
 // event and vanishes must cancel the exploration within a bounded
 // interval instead of running the remaining budget for nobody.
 func TestExploreStreamClientDisconnect(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{})
 	before := s.Snapshot()
 
@@ -137,7 +137,7 @@ func TestExploreStreamClientDisconnect(t *testing.T) {
 // middleware — the client gets a 500 with an error envelope, the
 // counter moves, and the daemon keeps serving.
 func TestGuardedPanicAnswers500(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{})
 	disarm := chaos.Arm(chaos.Config{
 		"serve.request": {First: 1, Action: chaos.ActPanic},
@@ -165,7 +165,7 @@ func TestGuardedPanicAnswers500(t *testing.T) {
 // TestRunTimeoutWatchdog: Config.RunTimeout turns a wedged run into an
 // answered request with outcome "timeout" instead of a hung slot.
 func TestRunTimeoutWatchdog(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{RunTimeout: 100 * time.Millisecond})
 	before := s.Snapshot()
 

@@ -32,7 +32,7 @@ func robustOpts(workers int) parcoach.CampaignOptions {
 // resumed from its checkpoint renders byte-identically to the same
 // campaign run uninterrupted — at every worker count.
 func TestCampaignCheckpointResumeByteIdentity(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	for _, workers := range []int{1, 4, 8} {
 		uninterrupted, err := parcoach.Campaign(robustOpts(workers))
 		if err != nil {
@@ -88,7 +88,7 @@ func TestCampaignResumeRejectsDivergentOptions(t *testing.T) {
 // it between (or mid-) rounds with a well-formed partial report marked
 // Canceled, and the dropped partial round never merges.
 func TestCampaignCancelPartialReport(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	disarm := chaos.Arm(chaos.Config{
@@ -117,7 +117,7 @@ func TestCampaignCancelPartialReport(t *testing.T) {
 // at the pool boundary, counted, its entry retired, and the campaign
 // completes.
 func TestCampaignQuarantinesPanickingJob(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	disarm := chaos.Arm(chaos.Config{
 		"campaign.execute": {First: 4, Action: chaos.ActPanic},
 	})
@@ -145,7 +145,7 @@ func TestCampaignQuarantinesPanickingJob(t *testing.T) {
 // be byte-identical to (a) — faults leave no residue in pools, caches or
 // counters that alters later results.
 func TestChaosSoak(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 
 	const soakSrc = `
 func main() {
