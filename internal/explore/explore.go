@@ -646,7 +646,7 @@ var recorderPool = sync.Pool{New: func() any { return new(sched.Recorder) }}
 // recycled) — callers must skip enumeration when rec is nil. A
 // canceled run comes back as OutcomeCanceled with its recorder intact;
 // callers drop it from the result set and stop taking new work.
-func runPrefix(ctx context.Context, sess *interp.Session, opts Options, prefix []sched.ThreadID) (dr dfsRun, rec *sched.Recorder) {
+func runPrefix(sess *interp.Session, opts Options, prefix []sched.ThreadID) (dr dfsRun, rec *sched.Recorder) {
 	rec = recorderPool.Get().(*sched.Recorder)
 	rec.Reset(prefix)
 	rec.Signatures = !opts.NoStateHash
@@ -660,7 +660,7 @@ func runPrefix(ctx context.Context, sess *interp.Session, opts Options, prefix [
 		}
 	}()
 	chaos.Here("explore.run")
-	res := sess.RunCtx(ctx, rec)
+	res := sess.RunCtx(opts.Ctx, rec)
 	dr = dfsRun{outcome: res.Outcome(), runErr: res.Err, trace: rec.Trace(), diverged: rec.Diverged()}
 	return dr, rec
 }
@@ -818,7 +818,7 @@ func exploreDFSWave(sess *interp.Session, opts Options, pool *pipeline.Pool,
 		}
 		results := make([]result, len(batch))
 		pool.Map(len(batch), func(i int) {
-			dr, rec := runPrefix(opts.Ctx, sess, opts, batch[i])
+			dr, rec := runPrefix(sess, opts, batch[i])
 			results[i] = result{dr: dr, prefix: batch[i], rec: rec}
 		})
 		canceled := false

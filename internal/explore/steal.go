@@ -269,7 +269,7 @@ func (f *stealFrontier) pushChild(w int, child []sched.ThreadID) {
 // execDFS is the plain DFS body: run the prefix and enqueue every
 // unseen untaken alternative beyond it.
 func (f *stealFrontier) execDFS(w int, prefix []sched.ThreadID) {
-	dr, rec := runPrefix(f.opts.Ctx, f.sess, f.opts, prefix)
+	dr, rec := runPrefix(f.sess, f.opts, prefix)
 	if dr.outcome == interp.OutcomeCanceled {
 		// Aborted half-run: no verdict, no children; the frontier winds
 		// down through the ctx check in process.

@@ -6,10 +6,11 @@
 // Each MPI process is a simulated thread; each parallel region forks
 // further threads into a team. Free-running, every simulated thread is
 // a goroutine; under a scheduler (internal/sched) each is a coroutine
-// the scheduler's driver resumes one at a time. Variables declared outside a threading construct
-// are shared between the threads of the region (as in the OpenMP default);
-// declarations inside a construct are thread-private. Arrays pass to
-// functions and MPI vector operations by reference.
+// the scheduler's driver resumes one at a time. Variables declared
+// outside a threading construct are shared between the threads of the
+// region (as in the OpenMP default); declarations inside a construct
+// are thread-private. Arrays pass to functions and MPI vector
+// operations by reference.
 package interp
 
 import (
@@ -201,11 +202,11 @@ func scalar(i int64) value { return value{i: i} }
 // process share cells by design — including deliberately racy benchmark
 // programs — so the interpreter must stay free of *Go* data races while
 // letting simulated races keep their relaxed semantics: scalar cells are
-// guarded by the cell lock (free-running threads; see thctx.load), and
-// array elements are always accessed with
-// atomic loads/stores (the array header itself is immutable once
-// declared — whole-array assignment is rejected — so the aliasing that
-// gives MiniHybrid its by-reference arrays stays intact).
+// guarded by the cell lock (in free-running runs; see thctx.load), and
+// array elements are always accessed with atomic loads/stores (the
+// array header itself is immutable once declared — whole-array
+// assignment is rejected — so the aliasing that gives MiniHybrid its
+// by-reference arrays stays intact).
 type cell struct {
 	mu sync.Mutex
 	v  value

@@ -82,7 +82,7 @@ type traceRT struct {
 	// object keys must not collide across sequential regions).
 	regionSeq uint64
 	// allocSeq numbers cell and array allocations in schedule order.
-	// Declarations only execute while their thread holds the run token,
+	// Declarations only execute while their thread is the one running,
 	// so the sequence — and with it every cell/element object id in the
 	// trace — is a pure function of the schedule, not of which pooled
 	// arena (and hence machine addresses) this run happened to draw.

@@ -81,7 +81,7 @@ func ObjID(kind, a, b uint64) Obj {
 }
 
 // Event is one scheduled step: everything thread Thread executed between
-// being granted the run token and the next scheduling decision.
+// being picked by a scheduling decision and the next decision.
 type Event struct {
 	// Thread is the sched.ThreadID that ran.
 	Thread int32
@@ -127,7 +127,7 @@ func (t *EventTrace) SetLimit(n int) {
 }
 
 // Open starts a new event for thread; branch is the branch-point index
-// of the decision that granted it (-1 for forced decisions).
+// of the decision that picked it (-1 for forced decisions).
 func (t *EventTrace) Open(thread, branch int) {
 	if t.limit == 0 {
 		t.limit = DefaultTraceLimit

@@ -55,10 +55,11 @@ type Monitor struct {
 // its runnable set exact. Waiter identities are passed as `any` so the
 // monitor stays free of scheduler types.
 //
-// HolderParked, WaiterWoken, HolderExited and ReleaseAll are called with
-// the monitor lock held (lock order: monitor → controller). Spawn and
-// Park are called without it: Park suspends the calling thread, and no
-// lock may be held across a suspension.
+// All callbacks come from the run's own thread of control (the running
+// simulated thread or the controller's driver). HolderParked,
+// WaiterWoken, HolderExited and ReleaseAll are called with the monitor
+// lock held; Spawn and Park without it: Park suspends the calling
+// thread, and no lock may be held across a suspension.
 type SchedHook interface {
 	// Spawn runs fn as a new simulated thread under the controller.
 	Spawn(fn func())
@@ -259,6 +260,9 @@ func (w *Waiter) Await() error {
 
 // Abort fails the run: the first error wins, every current waiter is woken
 // with it, and Aborted flips so running threads stop at their next check.
+// Under a scheduling controller, callers outside the run's threads (a
+// canceled context, a watchdog) go through the controller instead
+// (sched.Controller.Interrupt), which raises the abort from inside.
 func (m *Monitor) Abort(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -691,7 +691,7 @@ func (c *Controller) ReleaseAll() {
 // Scheduler implementations.
 //
 
-// RoundRobin rotates the token through the enabled threads in id order —
+// RoundRobin rotates the run through the enabled threads in id order —
 // the serialized analogue of the interpreter's historical deterministic
 // schedule, and the reference the conformance suite pins against the
 // golden files.
